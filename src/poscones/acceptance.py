@@ -421,14 +421,15 @@ def criterion_7(seed: int, scale: float = 1.0) -> CriterionResult:
                     return CriterionResult(
                         7, name, False, f"inertia failed on {zname} at P{p}"
                     )
-                if dec.sign_value(1) != sign_eta(h, p):
+                sig = sign_eta(h, p)
+                if dec.sign_value(1) != sig:
                     return CriterionResult(
                         7,
                         name,
                         False,
                         f"normalized signature mismatch on {zname} at P{p}",
                     )
-                if dec.sign_value(-1) != -sign_eta(h, p):
+                if dec.sign_value(-1) != -sig:
                     return CriterionResult(
                         7, name, False, f"mirror signature mismatch on {zname}"
                     )

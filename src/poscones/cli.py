@@ -5,6 +5,11 @@ records (--json) or aligned text (default).  All values are exact
 rational strings; no floats cross the I/O surface.  Exit codes: 0 for
 success / a true boolean result, 1 for a false boolean result, 2 for
 errors of any kind.
+
+Every task command has one body in the command table.  `poscones run`
+executes the tasks of a problem file; each other task subcommand turns
+its flags into a one-task problem file (its form named "f", its elements
+"e" or "e0", "e1", ...) and runs it through the same loader and loop.
 """
 
 from __future__ import annotations
@@ -12,10 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .acceptance import run_all
-from .algebra import AlgebraWithInvolution, MatD
+from .algebra import AlgebraWithInvolution
 from .cones import (
     PositiveCone,
     enumerate_cones,
@@ -25,13 +30,12 @@ from .cones import (
     positive_involution_at,
 )
 from .errors import ParseError, PosconesError, TaskError
-from .forms import HermitianForm, diagonalize, weakly_represents
+from .forms import PIVOT_STRATEGIES, diagonalize, weakly_represents
 from .morita import full_reduction
-from .orders import classify_all, x_tilde
+from .orders import classify_all, orderings_of, x_tilde
 from .serde import (
     algebra_from_json,
     algebra_to_json,
-    delem_to_json,
     field_from_json,
     form_from_json,
     form_to_json,
@@ -45,11 +49,6 @@ from .signature import pre_sylvester, sign_eta
 from .zoo import zoo_algebra, zoo_names
 
 __all__ = ["main"]
-
-
-def _emit_json(data: Any) -> None:
-    sys.stdout.write(json.dumps(data, sort_keys=True, separators=(",", ":")))
-    sys.stdout.write("\n")
 
 
 def _load_blob(raw: str) -> Any:
@@ -67,76 +66,90 @@ def _load_blob(raw: str) -> Any:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
-def _get_algebra(args: argparse.Namespace) -> AlgebraWithInvolution:
-    if getattr(args, "zoo", None):
-        if getattr(args, "algebra", None):
-            raise ParseError("give either --zoo or --algebra, not both")
-        try:
-            return zoo_algebra(args.zoo)
-        except KeyError as exc:
-            raise ParseError(str(exc.args[0])) from exc
-    if getattr(args, "algebra", None):
-        return algebra_from_json(_load_blob(args.algebra))
-    raise ParseError("an algebra is required (--zoo NAME or --algebra SPEC)")
+_EPS = {"1": 1, "+1": 1, "+": 1, "-1": -1, "-": -1}
 
 
-def _get_form(args: argparse.Namespace, alg: AlgebraWithInvolution) -> HermitianForm:
-    if not getattr(args, "form", None):
-        raise ParseError("a form is required (--form SPEC)")
-    return form_from_json(alg, _load_blob(args.form))
+def _parse_eps(raw: Any) -> int:
+    """A cone sign, given as 1 or -1 or as one of "+1 -1 + - 1"."""
+    text = str(raw).strip() if type(raw) in (int, str) else None
+    if text not in _EPS:
+        raise ParseError(f"eps must be +1 or -1, got {raw!r}")
+    return _EPS[text]
 
 
-def _get_element(raw: str, alg: AlgebraWithInvolution) -> MatD:
-    return matd_from_json(alg.div, _load_blob(raw))
+def _parse_orderings(raw: Any) -> tuple[int, ...]:
+    """Orderings given as a list or as one comma-separated string."""
+    if isinstance(raw, str):
+        raw = raw.replace(",", " ").split()
+    if not isinstance(raw, list):
+        raise ParseError(
+            f"orderings must be a list or a comma-separated string, got {raw!r}"
+        )
+    return tuple(parse_ordering(p) for p in raw)
 
 
-def _parse_eps(raw: str) -> int:
-    s = raw.strip()
-    if s in ("1", "+1", "+"):
-        return 1
-    if s in ("-1", "-"):
-        return -1
-    raise ParseError(f"eps must be +1 or -1, got {raw!r}")
-
-
-def _parse_ordering_list(raw: str) -> tuple[int, ...]:
-    parts = [p for p in raw.replace(",", " ").split() if p]
-    return tuple(parse_ordering(p) for p in parts)
-
-
-# -- subcommand bodies ---------------------------------------------------------
+# -- the command table ---------------------------------------------------------
 #
-# Each returns (exit_code, payload); payload is rendered as JSON or text.
+# A body takes the algebra and one task: the task's JSON object with its
+# form and element names replaced by the objects they name, and with the
+# run's "seed" and "budget".  It returns (verdict, JSON payload, text
+# lines); a false verdict makes the exit code 1.
 
 
-def _cmd_classify(args) -> tuple[int, Any]:
-    alg = _get_algebra(args)
+class Command(NamedTuple):
+    body: Callable[[AlgebraWithInvolution, dict], tuple[bool, Any, list[str]]]
+    help: str
+    keys: tuple[str, ...]  # the task keys it reads, each also a flag
+    search: bool  # takes the --seed and --budget of a bounded search
+
+
+COMMANDS: dict[str, Command] = {}
+
+# argparse settings of the flag for each task key
+_FLAGS: dict[str, dict[str, Any]] = {
+    "form": {"help": "form JSON or file"},
+    "element": {"help": "matrix JSON or file"},
+    "elements": {
+        "flag": "--element", "metavar": "ELEMENT", "action": "append",
+        "help": "matrix JSON or file (repeatable)",
+    },
+    "ordering": {"help": "ordering, e.g. P0"},
+    "orderings": {"help": "comma-separated orderings (default: all non-nil)"},
+    "eps": {"help": "cone sign, +1 (default) or -1"},
+    "strategy": {"choices": PIVOT_STRATEGIES, "help": "pivot search order"},
+}
+
+
+def _command(name: str, help: str, keys: str = "", search: bool = False):
+    """Enter the decorated body in the command table under name."""
+
+    def register(body):
+        COMMANDS[name] = Command(body, help, tuple(keys.split()), search)
+        return body
+
+    return register
+
+
+@_command("classify", "classify every ordering of the field")
+def _classify(alg, t):
     records = [ordering_info_to_json(i) for i in classify_all(alg)]
     lines = [
         f"{r['ordering']}  class={r['class']}  n_P={r['n_P']}  nil={str(r['nil']).lower()}"
         for r in records
     ]
-    return 0, {"json": records, "text": lines}
+    return True, records, lines
 
 
-def _cmd_sign(args) -> tuple[int, Any]:
-    alg = _get_algebra(args)
-    h = _get_form(args, alg)
-    if args.ordering is not None:
-        ps = [parse_ordering(args.ordering)]
-    else:
-        from .orders import orderings_of
-
-        ps = list(orderings_of(alg))
-    table = {ordering_name(p): sign_eta(h, p) for p in ps}
-    lines = [f"{k}  {v}" for k, v in sorted(table.items())]
-    return 0, {"json": table, "text": lines}
+@_command("sign", "signature of a form at orderings (default: all)", "form ordering")
+def _sign(alg, t):
+    ps = [parse_ordering(t["ordering"])] if "ordering" in t else orderings_of(alg)
+    table = {ordering_name(p): sign_eta(t["form"], p) for p in ps}
+    return True, table, [f"{k}  {v}" for k, v in sorted(table.items())]
 
 
-def _cmd_diag(args) -> tuple[int, Any]:
-    alg = _get_algebra(args)
-    h = _get_form(args, alg)
-    res = diagonalize(full_reduction(h).gram, args.strategy)
+@_command("diag", "diagonalize the reduction of a form", "form strategy")
+def _diag(alg, t):
+    res = diagonalize(full_reduction(t["form"]).gram, t.get("strategy", "first"))
     payload = {
         "entries": [str(e) for e in res.entries],
         "rank": res.rank,
@@ -146,71 +159,60 @@ def _cmd_diag(args) -> tuple[int, Any]:
         "entries  <" + ", ".join(payload["entries"]) + ">",
         f"rank     {res.rank}",
     ]
-    return 0, {"json": payload, "text": lines}
+    return True, payload, lines
 
 
-def _cmd_collapse(args) -> tuple[int, Any]:
-    alg = _get_algebra(args)
-    h = _get_form(args, alg)
-    red = full_reduction(h)
-    payload = {
-        "algebra": algebra_to_json(red.alg),
-        "form": form_to_json(red),
-    }
-    lines = [
-        f"reduced to rank {red.rank} over {red.alg}",
-    ]
-    return 0, {"json": payload, "text": lines}
+@_command("collapse", "reduce a form to the division algebra", "form")
+def _collapse(alg, t):
+    red = full_reduction(t["form"])
+    payload = {"algebra": algebra_to_json(red.alg), "form": form_to_json(red)}
+    return True, payload, [f"reduced to rank {red.rank} over {red.alg}"]
 
 
-def _cmd_cones(args) -> tuple[int, Any]:
-    alg = _get_algebra(args)
-    ks = enumerate_cones(alg)
-    records = [{"ordering": ordering_name(k.ordering), "eps": k.eps} for k in ks]
-    lines = [f"{r['ordering']}  eps={r['eps']:+d}" for r in records] or [
-        "no cones (every ordering is nil)"
-    ]
-    return 0, {"json": records, "text": lines}
+def _cone_listing(cones, empty: str):
+    records = [{"ordering": ordering_name(k.ordering), "eps": k.eps} for k in cones]
+    lines = [f"{r['ordering']}  eps={r['eps']:+d}" for r in records] or [empty]
+    return True, records, lines
 
 
-def _cmd_member(args) -> tuple[int, Any]:
-    alg = _get_algebra(args)
-    u = _get_element(args.element, alg)
-    cone = PositiveCone(alg, parse_ordering(args.ordering), _parse_eps(args.eps))
-    ok = member(u, cone)
-    payload = {"member": ok}
-    return (0 if ok else 1), {"json": payload, "text": [str(ok).lower()]}
+@_command("cones", "enumerate the positive cones")
+def _cones(alg, t):
+    return _cone_listing(enumerate_cones(alg), "no cones (every ordering is nil)")
 
 
-def _cmd_posinv(args) -> tuple[int, Any]:
-    alg = _get_algebra(args)
-    p = parse_ordering(args.ordering)
+@_command("member", "test cone membership of an element", "element ordering eps")
+def _member(alg, t):
+    p, eps = parse_ordering(t.get("ordering")), _parse_eps(t.get("eps", 1))
+    ok = member(t["element"], PositiveCone(alg, p, eps))
+    return ok, {"member": ok}, [str(ok).lower()]
+
+
+@_command("posinv", "construct a positive involution at an ordering", "ordering")
+def _posinv(alg, t):
+    p = parse_ordering(t.get("ordering"))
     b, tau_alg = positive_involution_at(alg, p)
     payload = {
         "b": matd_to_json(b),
         "twisted_algebra": algebra_to_json(tau_alg),
         "ordering": ordering_name(p),
     }
-    lines = [f"b = {b}", f"twisted algebra: {tau_alg}"]
-    return 0, {"json": payload, "text": lines}
+    return True, payload, [f"b = {b}", f"twisted algebra: {tau_alg}"]
 
 
-def _cmd_hsigma(args) -> tuple[int, Any]:
-    alg = _get_algebra(args)
-    elems = [_get_element(raw, alg) for raw in args.element or []]
-    ks = harrison_sigma(alg, elems)
-    records = [{"ordering": ordering_name(k.ordering), "eps": k.eps} for k in ks]
-    lines = [f"{r['ordering']}  eps={r['eps']:+d}" for r in records] or [
-        "no cones contain all the elements"
-    ]
-    return 0, {"json": records, "text": lines}
+@_command("hsigma", "cones containing all the given symmetric elements", "elements")
+def _hsigma(alg, t):
+    return _cone_listing(
+        harrison_sigma(alg, t.get("elements", [])), "no cones contain all the elements"
+    )
 
 
-def _cmd_presylvester(args) -> tuple[int, Any]:
-    alg = _get_algebra(args)
-    h = _get_form(args, alg)
-    p = parse_ordering(args.ordering)
-    dec = pre_sylvester(h, p, args.strategy)
+@_command(
+    "presylvester", "scalar decomposition of a form at an ordering",
+    "form ordering strategy",
+)
+def _presylvester(alg, t):
+    p = parse_ordering(t.get("ordering"))
+    dec = pre_sylvester(t["form"], p, t.get("strategy", "first"))
     payload = {
         "ordering": ordering_name(dec.ordering),
         "n_P": dec.n_p,
@@ -226,31 +228,168 @@ def _cmd_presylvester(args) -> tuple[int, Any]:
         f"r={dec.r} s={dec.s} n_P={dec.n_p} t={dec.t}",
         f"normalized signature {dec.sign_value(1)}",
     ]
-    return 0, {"json": payload, "text": lines}
+    return True, payload, lines
 
 
-def _cmd_maximal_on(args) -> tuple[int, Any]:
-    alg = _get_algebra(args)
-    u = _get_element(args.element, alg)
-    if args.orderings is not None:
-        ys = _parse_ordering_list(args.orderings)
+@_command(
+    "maximal-on", "test maximality of an element on orderings", "element orderings"
+)
+def _maximal_on(alg, t):
+    ys = _parse_orderings(t["orderings"]) if "orderings" in t else x_tilde(alg)
+    ok = is_maximal_on(alg, t["element"], ys)
+    return ok, {"maximal": ok}, [str(ok).lower()]
+
+
+@_command(
+    "weakrep", "search for a weak representation of an element by a form",
+    "form element", search=True,
+)
+def _weakrep(alg, t):
+    res = weakly_represents(
+        t["form"], t["element"], budget=t["budget"], seed=t["seed"]
+    )
+    found = res.status == "yes"
+    payload: dict[str, Any] = {"status": res.status}
+    lines = [f"status {res.status}"]
+    if found:
+        payload["copies"] = res.copies
+        payload["witness"] = matd_to_json(res.witness)
+        lines.append(f"copies {res.copies}")
+    return found, payload, lines
+
+
+# -- problem files -------------------------------------------------------------
+
+
+def _named(data: dict, key: str) -> dict:
+    named = data.get(key, {})
+    if not isinstance(named, dict):
+        raise ParseError(f"{key} must be an object mapping names to descriptors")
+    return named
+
+
+def _load_problem(data: Any):
+    """Validate a problem file; returns (algebra, forms, elements, tasks)."""
+    if not isinstance(data, dict):
+        raise ParseError("problem file must be a JSON object")
+    if str(data.get("schema")) != "1":
+        raise ParseError("problem file must declare schema \"1\"")
+    if ("zoo" in data) == ("algebra" in data):
+        raise ParseError("give exactly one of a zoo name and an algebra descriptor")
+    field = field_from_json(data["field"]) if "field" in data else None
+    if "zoo" in data:
+        try:
+            alg = zoo_algebra(str(data["zoo"]))
+        except KeyError as exc:
+            raise ParseError(str(exc.args[0])) from exc
     else:
-        ys = x_tilde(alg)
-    ok = is_maximal_on(alg, u, ys)
-    payload = {"maximal": ok, "orderings": [ordering_name(p) for p in ys]}
-    return (0 if ok else 1), {"json": payload, "text": [str(ok).lower()]}
+        alg = algebra_from_json(data["algebra"], field)
+    forms = {
+        name: form_from_json(alg, spec) for name, spec in _named(data, "forms").items()
+    }
+    elements = {
+        name: matd_from_json(alg.div, spec)
+        for name, spec in _named(data, "elements").items()
+    }
+    tasks = data.get("tasks")
+    if not isinstance(tasks, list):
+        raise ParseError("problem file needs a list of tasks")
+    return alg, forms, elements, tasks
 
 
-def _cmd_zoo(args) -> tuple[int, Any]:
+def _ref(name: Any, kind: str, named: dict) -> Any:
+    if name is None:
+        raise TaskError(f"task needs a {kind}")
+    if not isinstance(name, str):
+        raise ParseError(f"{kind} reference must be a name, got {name!r}")
+    if name not in named:
+        raise TaskError(f"task references unknown {kind} {name!r}")
+    return named[name]
+
+
+def _run_problem(data: Any, seed: int, budget: int | None) -> list:
+    """Execute every task; returns one (command, verdict, payload, lines) each."""
+    alg, forms, elements, tasks = _load_problem(data)
+    out = []
+    for i, spec in enumerate(tasks):
+        if not isinstance(spec, dict):
+            raise TaskError(f"task {i} is not an object")
+        name = spec.get("command")
+        cmd = COMMANDS.get(name) if isinstance(name, str) else None
+        if cmd is None:
+            raise TaskError(f"unknown task command {name!r}")
+        try:
+            t = dict(spec, seed=seed, budget=budget)
+            if "form" in cmd.keys:
+                t["form"] = _ref(spec.get("form"), "form", forms)
+            if "element" in cmd.keys:
+                t["element"] = _ref(spec.get("element"), "element", elements)
+            if "elements" in cmd.keys:
+                names = spec.get("elements", [])
+                if not isinstance(names, list):
+                    raise ParseError(f"elements must be a list of names, got {names!r}")
+                t["elements"] = [_ref(n, "element", elements) for n in names]
+            out.append((name, *cmd.body(alg, t)))
+        except TaskError:
+            raise
+        except PosconesError as exc:
+            raise TaskError(f"task {i} ({name}): {exc}") from exc
+    return out
+
+
+def _one_task_problem(args: argparse.Namespace) -> dict:
+    """The problem file a task subcommand's flags stand for."""
+    problem: dict[str, Any] = {"schema": "1"}
+    if args.zoo is not None:
+        problem["zoo"] = args.zoo
+    if args.algebra is not None:
+        problem["algebra"] = _load_blob(args.algebra)
+    task: dict[str, Any] = {"command": args.command}
+    for key in COMMANDS[args.command].keys:
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if key in ("form", "element"):
+            problem[key + "s"] = {key[0]: _load_blob(value)}
+            value = key[0]
+        elif key == "elements":
+            problem["elements"] = {f"e{i}": _load_blob(v) for i, v in enumerate(value)}
+            value = list(problem["elements"])
+        task[key] = value
+    problem["tasks"] = [task]
+    return problem
+
+
+# -- subcommands ---------------------------------------------------------------
+#
+# Each returns (exit_code, JSON payload, text lines).
+
+
+def _cmd_task(args):
+    [(_, ok, payload, lines)] = _run_problem(
+        _one_task_problem(args), getattr(args, "seed", 0), getattr(args, "budget", None)
+    )
+    return (0 if ok else 1), payload, lines
+
+
+def _cmd_run(args):
+    results = _run_problem(_load_blob(args.problem), args.seed, args.budget)
     records = [
-        {"name": name, "algebra": algebra_to_json(zoo_algebra(name))}
-        for name in zoo_names()
+        {"task": i, "command": name, "result": payload}
+        for i, (name, _, payload, _) in enumerate(results)
     ]
-    lines = [f"{name}  {zoo_algebra(name)}" for name in zoo_names()]
-    return 0, {"json": records, "text": lines}
+    code = 0 if all(ok for _, ok, _, _ in results) else 1
+    lines = [json.dumps(r, sort_keys=True) for r in records]
+    return code, {"schema": "1", "results": records}, lines
 
 
-def _cmd_selftest(args) -> tuple[int, Any]:
+def _cmd_zoo(args):
+    algs = {name: zoo_algebra(name) for name in zoo_names()}
+    records = [{"name": n, "algebra": algebra_to_json(a)} for n, a in algs.items()]
+    return 0, records, [f"{n}  {a}" for n, a in algs.items()]
+
+
+def _cmd_selftest(args):
     if args.scale <= 0:
         raise ParseError(f"--scale must be positive, got {args.scale}")
     results = run_all(args.seed, args.scale)
@@ -269,182 +408,7 @@ def _cmd_selftest(args) -> tuple[int, Any]:
         for r in results
     ]
     code = 0 if all(r.passed for r in results) else 1
-    payload = {"zoo": list(zoo_names()), "criteria": records}
-    return code, {"json": payload, "text": lines}
-
-
-# -- problem files -------------------------------------------------------------
-
-_TASK_COMMANDS = {
-    "classify",
-    "sign",
-    "diag",
-    "collapse",
-    "cones",
-    "member",
-    "posinv",
-    "hsigma",
-    "presylvester",
-    "maximal-on",
-    "weakrep",
-}
-
-
-def _run_task(
-    task: dict,
-    alg: AlgebraWithInvolution,
-    forms: dict[str, HermitianForm],
-    elements: dict[str, MatD],
-    seed: int,
-    budget: int | None,
-) -> tuple[bool, Any]:
-    """Execute one task; returns (boolean_outcome, result payload)."""
-    command = task.get("command")
-    if command not in _TASK_COMMANDS:
-        raise TaskError(f"unknown task command {command!r}")
-
-    def need_form() -> HermitianForm:
-        name = task.get("form")
-        if name not in forms:
-            raise TaskError(f"task references unknown form {name!r}")
-        return forms[name]
-
-    def need_element() -> MatD:
-        name = task.get("element")
-        if name not in elements:
-            raise TaskError(f"task references unknown element {name!r}")
-        return elements[name]
-
-    if command == "classify":
-        return True, [ordering_info_to_json(i) for i in classify_all(alg)]
-    if command == "sign":
-        h = need_form()
-        if "ordering" in task:
-            ps = [parse_ordering(task["ordering"])]
-        else:
-            from .orders import orderings_of
-
-            ps = list(orderings_of(alg))
-        return True, {ordering_name(p): sign_eta(h, p) for p in ps}
-    if command == "diag":
-        res = diagonalize(full_reduction(need_form()).gram)
-        return True, {
-            "entries": [str(e) for e in res.entries],
-            "rank": res.rank,
-            "witness": matd_to_json(res.witness),
-        }
-    if command == "collapse":
-        red = full_reduction(need_form())
-        return True, {
-            "algebra": algebra_to_json(red.alg),
-            "form": form_to_json(red),
-        }
-    if command == "cones":
-        return True, [
-            {"ordering": ordering_name(k.ordering), "eps": k.eps}
-            for k in enumerate_cones(alg)
-        ]
-    if command == "member":
-        cone = PositiveCone(
-            alg, parse_ordering(task.get("ordering")), int(task.get("eps", 1))
-        )
-        ok = member(need_element(), cone)
-        return ok, {"member": ok}
-    if command == "posinv":
-        b, tau_alg = positive_involution_at(alg, parse_ordering(task.get("ordering")))
-        return True, {
-            "b": matd_to_json(b),
-            "twisted_algebra": algebra_to_json(tau_alg),
-        }
-    if command == "hsigma":
-        names = task.get("elements", [])
-        elems = []
-        for name in names:
-            if name not in elements:
-                raise TaskError(f"task references unknown element {name!r}")
-            elems.append(elements[name])
-        return True, [
-            {"ordering": ordering_name(k.ordering), "eps": k.eps}
-            for k in harrison_sigma(alg, elems)
-        ]
-    if command == "presylvester":
-        dec = pre_sylvester(need_form(), parse_ordering(task.get("ordering")))
-        return True, {
-            "ordering": ordering_name(dec.ordering),
-            "n_P": dec.n_p,
-            "t": dec.t,
-            "r": dec.r,
-            "s": dec.s,
-            "sign": dec.sign_value(1),
-        }
-    if command == "maximal-on":
-        ys = (
-            tuple(parse_ordering(p) for p in task["orderings"])
-            if "orderings" in task
-            else x_tilde(alg)
-        )
-        ok = is_maximal_on(alg, need_element(), ys)
-        return ok, {"maximal": ok}
-    # weakrep
-    res = weakly_represents(
-        need_form(), need_element(), budget=budget, seed=seed
-    )
-    found = res.status == "yes"
-    payload: dict[str, Any] = {"status": res.status}
-    if found:
-        payload["copies"] = res.copies
-        payload["witness"] = matd_to_json(res.witness)
-    return found, payload
-
-
-def _cmd_run(args) -> tuple[int, Any]:
-    data = _load_blob(args.problem)
-    if not isinstance(data, dict):
-        raise ParseError("problem file must be a JSON object")
-    if str(data.get("schema")) != "1":
-        raise ParseError("problem file must declare schema \"1\"")
-    field = field_from_json(data["field"]) if "field" in data else None
-    if "zoo" in data:
-        try:
-            alg = zoo_algebra(data["zoo"])
-        except KeyError as exc:
-            raise ParseError(str(exc.args[0])) from exc
-    elif "algebra" in data:
-        alg = algebra_from_json(data["algebra"], field)
-    else:
-        raise ParseError("problem file needs an algebra or a zoo name")
-    forms = {
-        name: form_from_json(alg, spec)
-        for name, spec in (data.get("forms") or {}).items()
-    }
-    elements = {
-        name: matd_from_json(alg.div, spec)
-        for name, spec in (data.get("elements") or {}).items()
-    }
-    tasks = data.get("tasks")
-    if not isinstance(tasks, list):
-        raise ParseError("problem file needs a list of tasks")
-
-    results = []
-    all_true = True
-    for i, task in enumerate(tasks):
-        if not isinstance(task, dict):
-            raise TaskError(f"task {i} is not an object")
-        try:
-            ok, payload = _run_task(
-                task, alg, forms, elements, args.seed, args.budget
-            )
-        except TaskError:
-            raise
-        except PosconesError as exc:
-            raise TaskError(f"task {i} ({task.get('command')}): {exc}") from exc
-        all_true = all_true and ok
-        results.append(
-            {"task": i, "command": task.get("command"), "result": payload}
-        )
-    payload = {"schema": "1", "results": results}
-    lines = [json.dumps(r, sort_keys=True) for r in results]
-    return (0 if all_true else 1), {"json": payload, "text": lines}
+    return code, {"zoo": list(zoo_names()), "criteria": records}, lines
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -460,113 +424,41 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, algebra: bool = True) -> None:
+    def add(name: str, help: str, fn) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--json", action="store_true", help="emit JSON output")
+        p.set_defaults(fn=fn)
+        return p
+
+    def search(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=int, default=0, help="RNG seed for searches")
         p.add_argument(
-            "--table", action="store_true", help="emit aligned text (default)"
+            "--budget", type=int, default=None,
+            help="search budget for weak-representation probes",
         )
-        if algebra:
-            p.add_argument("--zoo", help="name of a built-in algebra")
-            p.add_argument(
-                "--algebra", help="algebra descriptor (inline JSON or file)"
-            )
 
-    p = sub.add_parser("classify", help="classify every ordering of the field")
-    common(p)
-    p.set_defaults(fn=_cmd_classify)
+    for name, cmd in COMMANDS.items():
+        p = add(name, cmd.help, _cmd_task)
+        p.add_argument("--zoo", help="name of a built-in algebra")
+        p.add_argument("--algebra", help="algebra descriptor (inline JSON or file)")
+        for key in cmd.keys:
+            settings = dict(_FLAGS[key])
+            p.add_argument(settings.pop("flag", f"--{key}"), dest=key, **settings)
+        if cmd.search:
+            search(p)
 
-    p = sub.add_parser("sign", help="signature of a form at orderings")
-    common(p)
-    p.add_argument("--form", required=True, help="form JSON or file")
-    p.add_argument("--ordering", help="single ordering (default: all)")
-    p.set_defaults(fn=_cmd_sign)
-
-    p = sub.add_parser("diag", help="diagonalize the reduction of a form")
-    common(p)
-    p.add_argument("--form", required=True, help="form JSON or file")
-    p.add_argument(
-        "--strategy", choices=("first", "last"), default="first",
-        help="pivot search order",
-    )
-    p.set_defaults(fn=_cmd_diag)
-
-    p = sub.add_parser("collapse", help="reduce a form to the division algebra")
-    common(p)
-    p.add_argument("--form", required=True, help="form JSON or file")
-    p.set_defaults(fn=_cmd_collapse)
-
-    p = sub.add_parser("cones", help="enumerate the positive cones")
-    common(p)
-    p.set_defaults(fn=_cmd_cones)
-
-    p = sub.add_parser("member", help="test cone membership of an element")
-    common(p)
-    p.add_argument("--element", required=True, help="matrix JSON or file")
-    p.add_argument("--ordering", required=True, help="ordering, e.g. P0")
-    p.add_argument("--eps", default="+1", help="cone sign, +1 or -1")
-    p.set_defaults(fn=_cmd_member)
-
-    p = sub.add_parser(
-        "posinv", help="construct a positive involution at an ordering"
-    )
-    common(p)
-    p.add_argument("--ordering", required=True, help="ordering, e.g. P0")
-    p.set_defaults(fn=_cmd_posinv)
-
-    p = sub.add_parser(
-        "hsigma", help="cones containing all the given symmetric elements"
-    )
-    common(p)
-    p.add_argument(
-        "--element", action="append", help="matrix JSON or file (repeatable)"
-    )
-    p.set_defaults(fn=_cmd_hsigma)
-
-    p = sub.add_parser(
-        "presylvester", help="scalar decomposition of a form at an ordering"
-    )
-    common(p)
-    p.add_argument("--form", required=True, help="form JSON or file")
-    p.add_argument("--ordering", required=True, help="ordering, e.g. P0")
-    p.add_argument(
-        "--strategy", choices=("first", "last"), default="first",
-        help="pivot search order",
-    )
-    p.set_defaults(fn=_cmd_presylvester)
-
-    p = sub.add_parser(
-        "maximal-on", help="test maximality of an element on orderings"
-    )
-    common(p)
-    p.add_argument("--element", required=True, help="matrix JSON or file")
-    p.add_argument(
-        "--orderings", help="comma-separated orderings (default: all non-nil)"
-    )
-    p.set_defaults(fn=_cmd_maximal_on)
-
-    p = sub.add_parser("run", help="execute a problem file of tasks")
-    common(p, algebra=False)
+    p = add("run", "execute a problem file of tasks", _cmd_run)
     p.add_argument("problem", help="problem file (JSON) or inline JSON")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for searches")
-    p.add_argument(
-        "--budget", type=int, default=None,
-        help="search budget for weak-representation probes",
-    )
-    p.set_defaults(fn=_cmd_run)
+    search(p)
 
-    p = sub.add_parser("selftest", help="run the acceptance suite on the zoo")
-    common(p, algebra=False)
+    p = add("selftest", "run the acceptance suite on the zoo", _cmd_selftest)
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument(
         "--scale", type=float, default=1.0,
         help="sample-count multiplier (1.0 = full suite)",
     )
-    p.set_defaults(fn=_cmd_selftest)
 
-    p = sub.add_parser("zoo", help="list the built-in algebras")
-    common(p, algebra=False)
-    p.set_defaults(fn=_cmd_zoo)
-
+    add("zoo", "list the built-in algebras", _cmd_zoo)
     return parser
 
 
@@ -574,18 +466,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code, payload = args.fn(args)
-    except PosconesError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+        code, data, lines = args.fn(args)
+    except (PosconesError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if args.json:
-        _emit_json(payload["json"])
-    else:
-        for line in payload["text"]:
-            sys.stdout.write(line + "\n")
+        lines = [json.dumps(data, sort_keys=True, separators=(",", ":"))]
+    for line in lines:
+        sys.stdout.write(line + "\n")
     return code
 
 

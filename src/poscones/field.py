@@ -39,12 +39,16 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
+# Square-freeness is checked by trial division, so d is capped to keep it fast.
+MAX_D = 10**12
+
+
 @dataclass(frozen=True)
 class FieldDesc:
     """Base field descriptor: Q when d is None, otherwise Q(sqrt(d)).
 
     d must be a square-free integer >= 2 so that sqrt(d) is irrational and
-    the two real embeddings are distinct.
+    the two real embeddings are distinct; it is at most MAX_D = 10**12.
     """
 
     d: int | None = None
@@ -53,6 +57,8 @@ class FieldDesc:
         if self.d is not None:
             if not isinstance(self.d, int) or self.d < 2:
                 raise ValueError("d must be an integer >= 2")
+            if self.d > MAX_D:
+                raise ValueError(f"d must be at most {MAX_D} (10**12), got {self.d}")
             if not _is_squarefree(self.d):
                 raise ValueError("d must be square-free")
 
@@ -291,10 +297,13 @@ def is_totally_positive(x: FieldElem) -> bool:
 # Grammar (no whitespace): RAT | [RAT] SIGN [RAT "*"] "sqrt(" INT ")"
 # where RAT is p or p/q with optional leading sign.  Emission is canonical
 # and round-trips bit-exactly through parse_elem.
+# The leading RAT may not be followed by a digit, "/" or "*", so it never
+# ends inside the coefficient of a pure sqrt term such as 23*sqrt(2).
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
 _ELEM_RE = re.compile(
-    rf"^(?P<a>{_RAT})?(?:(?P<sign>[+-])?(?:(?P<b>\d+(?:/\d+)?)\*)?sqrt\((?P<d>\d+)\))?$"
+    rf"^(?P<a>{_RAT}(?![\d/*]))?"
+    rf"(?:(?P<sign>[+-])?(?:(?P<b>\d+(?:/\d+)?)\*)?sqrt\((?P<d>\d+)\))?$"
 )
 
 

@@ -40,6 +40,12 @@ class TestFieldDesc:
     def test_accepts_squarefree(self, d):
         assert FieldDesc(d).d == d
 
+    def test_caps_discriminant(self):
+        # the largest prime below the cap is accepted; anything above is not
+        assert FieldDesc(999999999989).d == 999999999989
+        with pytest.raises(ValueError, match=r"10\*\*12"):
+            FieldDesc(10**12 + 1)
+
     def test_elem_over_q_rejects_sqrt_part(self):
         with pytest.raises(ValueError):
             Q.elem(1, 1)
@@ -149,6 +155,9 @@ class TestTextFormat:
             "1/2+3/4*sqrt(2)",
             "3-sqrt(2)",
             "-1/2-5*sqrt(2)",
+            "23*sqrt(2)",
+            "-23*sqrt(2)",
+            "12/5*sqrt(2)",
         ],
     )
     def test_round_trip(self, text):

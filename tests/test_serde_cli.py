@@ -1,5 +1,6 @@
 """JSON serialization round trips and the command-line interface."""
 
+import argparse
 import json
 import shutil
 import subprocess
@@ -19,7 +20,7 @@ from poscones import (
     zoo_algebra,
     zoo_names,
 )
-from poscones.cli import main
+from poscones.cli import COMMANDS, _build_parser, main
 from poscones.serde import (
     algebra_from_json,
     algebra_to_json,
@@ -39,6 +40,39 @@ from poscones.serde import (
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 UNIT_FORM_2 = '{"rank":1,"gram":[[[[["1"],["0"]],[["0"],["1"]]]]]}'
 INDEF_ELEMENT = '[[["1"],["0"]],[["0"],["-1"]]]'
+IDENT_ELEMENT = '[[["1"],["0"]],[["0"],["1"]]]'
+TASK_COMMANDS = {
+    "classify", "sign", "diag", "collapse", "cones", "member", "posinv",
+    "hsigma", "presylvester", "maximal-on", "weakrep",
+}
+
+# Subcommand flags over split-q-2, and the task of the equivalent one-task
+# problem file, whose form is named "u" and whose elements "one" and "w".
+PARITY = [
+    ("classify", [], {}),
+    ("sign", ["--form", UNIT_FORM_2], {"form": "u"}),
+    ("sign", ["--form", UNIT_FORM_2, "--ordering", "P0"],
+     {"form": "u", "ordering": "P0"}),
+    ("diag", ["--form", UNIT_FORM_2, "--strategy", "last"],
+     {"form": "u", "strategy": "last"}),
+    ("collapse", ["--form", UNIT_FORM_2], {"form": "u"}),
+    ("cones", [], {}),
+    ("member", ["--element", IDENT_ELEMENT, "--ordering", "P0", "--eps", "+"],
+     {"element": "one", "ordering": "P0", "eps": "+"}),
+    ("member", ["--element", INDEF_ELEMENT, "--ordering", "P0", "--eps", "-1"],
+     {"element": "w", "ordering": "P0", "eps": -1}),
+    ("posinv", ["--ordering", "P0"], {"ordering": "P0"}),
+    ("hsigma", ["--element", IDENT_ELEMENT, "--element", INDEF_ELEMENT],
+     {"elements": ["one", "w"]}),
+    ("presylvester",
+     ["--form", UNIT_FORM_2, "--ordering", "P0", "--strategy", "last"],
+     {"form": "u", "ordering": "P0", "strategy": "last"}),
+    ("maximal-on", ["--element", IDENT_ELEMENT], {"element": "one"}),
+    ("maximal-on", ["--element", INDEF_ELEMENT, "--orderings", "P0"],
+     {"element": "w", "orderings": ["P0"]}),
+    ("weakrep", ["--form", UNIT_FORM_2, "--element", IDENT_ELEMENT],
+     {"form": "u", "element": "one"}),
+]
 
 
 class TestSerde:
@@ -214,6 +248,59 @@ class TestCliBooleans:
                      "--element", INDEF_ELEMENT]) == 1
 
 
+class TestCommandTable:
+    def test_subcommands_come_from_the_table(self):
+        [sub] = [
+            a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert set(COMMANDS) == TASK_COMMANDS
+        assert set(sub.choices) == TASK_COMMANDS | {"run", "selftest", "zoo"}
+
+    def test_parity_cases_cover_every_command(self):
+        assert {command for command, _, _ in PARITY} == set(COMMANDS)
+
+    @pytest.mark.parametrize(
+        "command, flags, task", PARITY,
+        ids=[f"{c}-{i}" for i, (c, _, _) in enumerate(PARITY)],
+    )
+    def test_subcommand_prints_the_run_result(self, capsys, command, flags, task):
+        code = main([command, "--zoo", "split-q-2", *flags, "--json"])
+        printed = capsys.readouterr().out
+        problem = {
+            "schema": "1",
+            "zoo": "split-q-2",
+            "forms": {"u": json.loads(UNIT_FORM_2)},
+            "elements": {
+                "one": json.loads(IDENT_ELEMENT),
+                "w": json.loads(INDEF_ELEMENT),
+            },
+            "tasks": [dict(task, command=command)],
+        }
+        run_code = main(["run", json.dumps(problem), "--json"])
+        [result] = json.loads(capsys.readouterr().out)["results"]
+        assert code == run_code
+        assert printed == json.dumps(
+            result["result"], sort_keys=True, separators=(",", ":")
+        ) + "\n"
+
+    def test_weakrep_search_flags(self, capsys):
+        flags = ["--seed", "3", "--budget", "4"]
+        assert main(["weakrep", "--zoo", "split-q-2", "--form", UNIT_FORM_2,
+                     "--element", IDENT_ELEMENT, "--json", *flags]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["status"] == "yes"
+        problem = {
+            "schema": "1",
+            "zoo": "split-q-2",
+            "forms": {"u": json.loads(UNIT_FORM_2)},
+            "elements": {"one": json.loads(IDENT_ELEMENT)},
+            "tasks": [{"command": "weakrep", "form": "u", "element": "one"}],
+        }
+        assert main(["run", json.dumps(problem), "--json", *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["results"][0]["result"] == data
+
+
 class TestCliErrors:
     def test_algebra_source_is_exclusive(self, capsys):
         alg_json = json.dumps(algebra_to_json(zoo_algebra("split-q-1")))
@@ -230,6 +317,16 @@ class TestCliErrors:
         assert main(["sign", "--zoo", "split-q-2", "--form", "{"]) == 2
         assert main(["sign", "--zoo", "split-q-2",
                      "--form", '{"rank":1}']) == 2
+
+    def test_oversized_discriminant(self, capsys):
+        alg = {
+            "field": {"kind": "real_quadratic", "d": 10**24 + 7},
+            "ell": 1,
+            "div": {"kind": "split"},
+            "phi": [[["1"]]],
+        }
+        assert main(["classify", "--algebra", json.dumps(alg)]) == 2
+        assert "10**12" in capsys.readouterr().err
 
     def test_nil_ordering_is_an_error(self, capsys):
         assert main(["posinv", "--zoo", "quad-rt2-1",
@@ -283,6 +380,38 @@ class TestProblemFiles:
             "tasks": [{"command": "sign", "form": "missing"}],
         }
         assert main(["run", json.dumps(problem)]) == 2
+
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            {"forms": [1]},
+            {"forms": "u"},
+            {"elements": [1]},
+            {"zoo": ["split-q-2"]},
+            {"tasks": [{"command": ["sign"]}]},
+            {"forms": {"u": json.loads(UNIT_FORM_2)},
+             "tasks": [{"command": "sign", "form": ["u"]}]},
+            {"elements": {"one": json.loads(IDENT_ELEMENT)},
+             "tasks": [{"command": "member", "element": {"one": 1},
+                        "ordering": "P0"}]},
+            {"elements": {"one": json.loads(IDENT_ELEMENT)},
+             "tasks": [{"command": "hsigma", "elements": "one"}]},
+            {"tasks": [{"command": "hsigma", "elements": [1]}]},
+            {"elements": {"one": json.loads(IDENT_ELEMENT)},
+             "tasks": [{"command": "maximal-on", "element": "one",
+                        "orderings": 5}]},
+            {"elements": {"one": json.loads(IDENT_ELEMENT)},
+             "tasks": [{"command": "maximal-on", "element": "one",
+                        "orderings": {"P0": 1}}]},
+        ],
+    )
+    def test_malformed_file_is_a_one_line_error(self, capsys, malformed):
+        problem = {"schema": "1", "zoo": "split-q-2", "tasks": [], **malformed}
+        assert main(["run", json.dumps(problem)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestEntryPoints:
