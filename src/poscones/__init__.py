@@ -80,6 +80,7 @@ from .morita import (
     collapse,
     expand,
     full_reduction,
+    reduced_diagonal,
     scale_involution,
     theta_algebra,
 )
@@ -168,6 +169,7 @@ __all__ = [
     "properness_check",
     "psd_up",
     "rank_one",
+    "reduced_diagonal",
     "scale_cone",
     "scale_form",
     "scale_involution",

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .algebra import AlgebraWithInvolution, DElem, DivisionAlgebraDesc, MatD
+from .algebra import AlgebraWithInvolution, DivisionAlgebraDesc, MatD
 from .cones import (
     PositiveCone,
     enumerate_cones,
     gen_cone_sample,
-    is_maximal_on,
     max_q_agreement,
     member,
     positive_involution_at,
@@ -27,7 +26,7 @@ from .cones import (
     psd_up,
     trace_down,
 )
-from .field import FieldDesc, FieldElem, orderings
+from .field import FieldDesc, orderings
 from .forms import (
     HermitianForm,
     QuadraticFormF,
@@ -36,9 +35,8 @@ from .forms import (
     direct_sum,
     rank_one,
     tensor,
-    times,
 )
-from .morita import base_algebra, full_reduction, theta_algebra
+from .morita import base_algebra, theta_algebra
 from .orders import classify, orderings_of, x_tilde
 from .sampling import (
     rand_fieldelem,

@@ -549,8 +549,7 @@ class AlgebraWithInvolution:
             raise DimensionMismatch("phi must be ell x ell")
         if not self.phi.is_theta_hermitian():
             raise ValueError("phi must be fixed by the conjugate transpose")
-        # fail fast on singular phi
-        self.phi.inverse()
+        self.phi_inv  # fail fast on singular phi; the inverse stays cached
 
     @cached_property
     def phi_inv(self) -> MatD:

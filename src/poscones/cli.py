@@ -30,8 +30,8 @@ from .cones import (
     positive_involution_at,
 )
 from .errors import ParseError, PosconesError, TaskError
-from .forms import PIVOT_STRATEGIES, diagonalize, weakly_represents
-from .morita import full_reduction
+from .forms import PIVOT_STRATEGIES, weakly_represents
+from .morita import full_reduction, reduced_diagonal
 from .orders import classify_all, orderings_of, x_tilde
 from .serde import (
     algebra_from_json,
@@ -64,6 +64,8 @@ def _load_blob(raw: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
 
 _EPS = {"1": 1, "+1": 1, "+": 1, "-1": -1, "-": -1}
@@ -149,7 +151,7 @@ def _sign(alg, t):
 
 @_command("diag", "diagonalize the reduction of a form", "form strategy")
 def _diag(alg, t):
-    res = diagonalize(full_reduction(t["form"]).gram, t.get("strategy", "first"))
+    res = reduced_diagonal(t["form"], t.get("strategy", "first"))
     payload = {
         "entries": [str(e) for e in res.entries],
         "rank": res.rank,
@@ -307,7 +309,7 @@ def _ref(name: Any, kind: str, named: dict) -> Any:
     return named[name]
 
 
-def _run_problem(data: Any, seed: int, budget: int | None) -> list:
+def _run_problem(data: Any, seed: int, budget: int) -> list:
     """Execute every task; returns one (command, verdict, payload, lines) each."""
     alg, forms, elements, tasks = _load_problem(data)
     out = []
@@ -367,7 +369,7 @@ def _one_task_problem(args: argparse.Namespace) -> dict:
 
 def _cmd_task(args):
     [(_, ok, payload, lines)] = _run_problem(
-        _one_task_problem(args), getattr(args, "seed", 0), getattr(args, "budget", None)
+        _one_task_problem(args), getattr(args, "seed", 0), getattr(args, "budget", 64)
     )
     return (0 if ok else 1), payload, lines
 
@@ -414,8 +416,15 @@ def _cmd_selftest(args):
 # -- argument parsing ----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one stderr line and exit 2; subparsers share the class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="poscones",
         description=(
             "Exact computations with hermitian forms and positive cones "
@@ -433,8 +442,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def search(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=0, help="RNG seed for searches")
         p.add_argument(
-            "--budget", type=int, default=None,
-            help="search budget for weak-representation probes",
+            "--budget", type=int, default=64,
+            help="search budget for weak-representation probes (default: 64)",
         )
 
     for name, cmd in COMMANDS.items():

@@ -17,19 +17,18 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .algebra import AlgebraWithInvolution, DElem, MatD
+from .algebra import AlgebraWithInvolution, MatD
 from .errors import (
     InternalInvariantViolation,
     NilOrdering,
     NotSymmetric,
     OrderingNotInXTilde,
 )
-from .field import FieldElem
-from .forms import HermitianForm, diagonalize, rank_one
-from .morita import base_algebra, full_reduction, standard_algebra
+from .forms import rank_one
+from .morita import base_algebra, reduced_diagonal, standard_algebra
 from .orders import classify, x_tilde
 from .sampling import rand_matd, rand_positive_at
-from .signature import eta_maximal, is_positive_involution, m_p, sign_eta
+from .signature import is_positive_involution, m_p
 
 __all__ = [
     "PositiveCone",
@@ -83,13 +82,8 @@ def enumerate_cones(alg: AlgebraWithInvolution) -> tuple[PositiveCone, ...]:
 
 def member(u: MatD, cone: PositiveCone) -> bool:
     """Exact membership of a symmetric element in the cone."""
-    alg = cone.alg
-    if not alg.is_symmetric(u):
-        raise NotSymmetric("element is not sigma-symmetric")
-    res = diagonalize(full_reduction(rank_one(alg, u)).gram)
-    return all(
-        e.is_zero() or e.sign_at(cone.ordering) == cone.eps for e in res.entries
-    )
+    res = reduced_diagonal(rank_one(cone.alg, u))
+    return res.in_cone_at(cone.ordering, cone.eps)
 
 
 def psd_up(cone: PositiveCone, ell: int) -> PositiveCone:
@@ -245,20 +239,27 @@ def harrison_sigma(
     alg: AlgebraWithInvolution, elems: Sequence[MatD]
 ) -> tuple[PositiveCone, ...]:
     """All cones containing every listed symmetric element."""
+    rs = [reduced_diagonal(rank_one(alg, a)) for a in elems]
     cones = enumerate_cones(alg)
-    return tuple(k for k in cones if all(member(a, k) for a in elems))
+    return tuple(k for k in cones if all(r.in_cone_at(k.ordering, k.eps) for r in rs))
+
+
+def _in_x_tilde(alg, orderings: Iterable[int]) -> tuple[int, ...]:
+    """The listed orderings, each checked to be non-nil."""
+    ys, good = tuple(orderings), x_tilde(alg)
+    for p in ys:
+        if p not in good:
+            raise OrderingNotInXTilde(f"ordering {p} is nil or invalid")
+    return ys
 
 
 def is_maximal_on(
     alg: AlgebraWithInvolution, u: MatD, orderings_subset: Iterable[int]
 ) -> bool:
     """True when u attains the maximal signature at every listed ordering."""
-    good = set(x_tilde(alg))
-    ys = tuple(orderings_subset)
-    for p in ys:
-        if p not in good:
-            raise OrderingNotInXTilde(f"ordering {p} is nil or invalid")
-    return all(eta_maximal(alg, u, p) for p in ys)
+    ys = _in_x_tilde(alg, orderings_subset)
+    res = reduced_diagonal(rank_one(alg, u))
+    return all(res.in_cone_at(p) for p in ys)
 
 
 def max_q_agreement(
@@ -275,20 +276,17 @@ def max_q_agreement(
     criteria agree.  u must be nonzero: the zero element lies in every
     cone, so the left-hand criterion is degenerate for it.
     """
-    ys = tuple(orderings_subset)
-    good = set(x_tilde(alg))
-    for p in ys:
-        if p not in good:
-            raise OrderingNotInXTilde(f"ordering {p} is nil or invalid")
+    ys = _in_x_tilde(alg, orderings_subset)
     if u.is_zero():
         raise ValueError("reference comparison requires a nonzero element")
     if reference is None:
         reference = alg.phi
-    if not is_maximal_on(alg, reference, ys):
+    ref = reduced_diagonal(rank_one(alg, reference))
+    if not all(ref.in_cone_at(p) for p in ys):
         raise ValueError("reference element is not maximal on the set")
-    cones = [
-        PositiveCone(alg, p, eps) for p in ys for eps in (1, -1)
-    ]
-    lhs = all(member(u, k) == member(reference, k) for k in cones)
-    rhs = is_maximal_on(alg, u, ys)
+    res = reduced_diagonal(rank_one(alg, u))
+    lhs = all(
+        res.in_cone_at(p, eps) == ref.in_cone_at(p, eps) for p in ys for eps in (1, -1)
+    )
+    rhs = all(res.in_cone_at(p) for p in ys)
     return lhs == rhs

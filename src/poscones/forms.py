@@ -16,9 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .algebra import AlgebraWithInvolution, DElem, MatD
+from .algebra import AlgebraWithInvolution, DElem, MatD, kron_identity_left
 from .errors import (
     DimensionMismatch,
     InternalInvariantViolation,
@@ -26,7 +26,7 @@ from .errors import (
     NotSymmetric,
     Singular,
 )
-from .field import FieldDesc, FieldElem
+from .field import FieldElem
 
 __all__ = [
     "QuadraticFormF",
@@ -117,8 +117,6 @@ class HermitianForm:
             raise DimensionMismatch("vector has wrong shape")
         if y.rows != n or y.cols != self.alg.ell:
             raise DimensionMismatch("vector has wrong shape")
-        from .algebra import kron_identity_left
-
         phi, phi_inv = self.alg.phi, self.alg.phi_inv
         scaled = kron_identity_left(self.rank, phi_inv) * self.gram
         return phi * (x.theta_t() * scaled * y)
@@ -170,6 +168,10 @@ class DiagonalizationResult:
         pos = sum(1 for e in self.entries if e.sign_at(p) == 1)
         neg = sum(1 for e in self.entries if e.sign_at(p) == -1)
         return pos, neg, len(self.entries) - pos - neg
+
+    def in_cone_at(self, p: int, eps: int = 1) -> bool:
+        """True when every nonzero entry has sign eps at ordering p."""
+        return all(e.is_zero() or e.sign_at(p) == eps for e in self.entries)
 
 
 def diagonalize(h: MatD, strategy: str = "first") -> DiagonalizationResult:
@@ -333,8 +335,6 @@ def scale_form(c: MatD, h: HermitianForm) -> HermitianForm:
         c.inverse()
     except Singular:
         raise Singular("scaling element is not invertible") from None
-    from .algebra import kron_identity_left
-
     new_alg = AlgebraWithInvolution(alg.ell, alg.div, c * alg.phi)
     gram = kron_identity_left(max(h.rank, 0), c) * h.gram if h.rank else h.gram
     return HermitianForm(new_alg, h.rank, gram, _checked=True)
@@ -351,12 +351,11 @@ def nonsingular_part(h: HermitianForm) -> tuple[HermitianForm, int]:
     back to a diagonal form over the original algebra.  When h is already
     nonsingular it is returned unchanged.
     """
-    from .morita import full_reduction
+    from .morita import reduced_diagonal
 
     alg = h.alg
     ell = alg.ell
-    red = full_reduction(h)
-    res = diagonalize(red.gram)
+    res = reduced_diagonal(h)
     nonzero = [e for e in res.entries if not e.is_zero()]
     zeros = len(res.entries) - len(nonzero)
     if zeros == 0:
@@ -383,15 +382,14 @@ def morita_diag_rep(h: HermitianForm) -> tuple[MatD, ...]:
     zero.  The list is obtained by reducing h to the base division algebra,
     diagonalizing, and pulling each diagonal value u back to u * phi.  The
     claimed isometry is validated on rank and on signatures at every
-    ordering.
+    ordering; each side is diagonalized once and read at every ordering.
     """
-    from .morita import full_reduction
+    from .morita import reduced_diagonal
     from .orders import orderings_of
-    from .signature import sign_eta
+    from .signature import _signature
 
     alg = h.alg
-    red = full_reduction(h)
-    res = diagonalize(red.gram)
+    res = reduced_diagonal(h)
     coeffs = tuple(
         alg.phi.scale_field(u) if not u.is_zero() else alg.zero()
         for u in res.entries
@@ -400,8 +398,9 @@ def morita_diag_rep(h: HermitianForm) -> tuple[MatD, ...]:
     lhs = times(alg.ell, h)
     if rep.rank != lhs.rank:
         raise InternalInvariantViolation("diagonal representative rank mismatch")
+    rep_res, lhs_res = reduced_diagonal(rep), reduced_diagonal(lhs)
     for p in orderings_of(alg):
-        if sign_eta(rep, p) != sign_eta(lhs, p):
+        if _signature(alg, rep_res, p) != _signature(alg, lhs_res, p):
             raise InternalInvariantViolation(
                 "diagonal representative signature mismatch"
             )
@@ -447,7 +446,7 @@ def _field_square_scale(u: FieldElem, d: FieldElem) -> FieldElem | None:
 def weakly_represents(
     h: HermitianForm,
     u: MatD,
-    budget: int | None = None,
+    budget: int = 64,
     seed: int = 0,
 ) -> WeakRepResult:
     """Search for x with (m x h)(x, x) == u for some m <= budget.
@@ -456,12 +455,9 @@ def weakly_represents(
     is returned; "unknown" only means the bounded search failed.  u must be
     sigma-symmetric.
     """
-    from .config import default_budget
-    from .morita import full_reduction
+    from .morita import reduced_diagonal
 
     alg = h.alg
-    if budget is None:
-        budget = default_budget()
     if not alg.is_symmetric(u):
         raise NotSymmetric("target element is not sigma-symmetric")
     ell = alg.ell
@@ -472,13 +468,11 @@ def weakly_represents(
         return WeakRepResult("unknown")
 
     rng = random.Random(seed)
-    red = full_reduction(h)
-    res = diagonalize(red.gram)
+    res = reduced_diagonal(h)
     d_entries = res.entries  # diagonal of one copy of h after reduction
 
     # diagonalize the reduction of <u> so both sides are diagonal over F
-    target = full_reduction(rank_one(alg, u))
-    tres = diagonalize(target.gram)
+    tres = reduced_diagonal(rank_one(alg, u))
 
     def check(m: int, x: MatD) -> WeakRepResult | None:
         val = times(m, h).evaluate(x, x)

@@ -8,8 +8,9 @@ Two elementary moves compose into the full reduction:
   over M_ell(D) as a form of rank k*ell over (D, theta), bit-identically.
 
 expand is the inverse of collapse; full_reduction = collapse o
-scale_involution takes any form down to (D, theta), where diagonal
-entries and signs are read off.
+scale_involution takes any form down to (D, theta), and
+reduced_diagonal diagonalizes that reduction once: every signature,
+cone and maximality question about a form reads its signs from it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 from .algebra import AlgebraWithInvolution, MatD, kron_identity_left
 from .errors import RankNotDivisible
-from .forms import HermitianForm
+from .forms import DiagonalizationResult, HermitianForm, diagonalize
 
 __all__ = [
     "theta_algebra",
@@ -27,6 +28,7 @@ __all__ = [
     "collapse",
     "expand",
     "full_reduction",
+    "reduced_diagonal",
 ]
 
 
@@ -85,3 +87,10 @@ def expand(b: HermitianForm, ell: int) -> HermitianForm:
 def full_reduction(h: HermitianForm) -> HermitianForm:
     """Reduce any form to the base division algebra (D, theta)."""
     return collapse(scale_involution(h))
+
+
+def reduced_diagonal(
+    h: HermitianForm, strategy: str = "first"
+) -> DiagonalizationResult:
+    """The verified diagonalization of the reduction of h to (D, theta)."""
+    return diagonalize(full_reduction(h).gram, strategy)

@@ -13,7 +13,7 @@ from typing import Any
 
 from .algebra import AlgebraWithInvolution, DElem, DivisionAlgebraDesc, MatD
 from .errors import ParseError
-from .field import FieldDesc, FieldElem, format_elem, parse_elem
+from .field import FieldDesc, format_elem, parse_elem
 from .forms import HermitianForm
 from .orders import OrderingInfo
 
@@ -39,7 +39,8 @@ def ordering_name(p: int) -> str:
 
 
 def parse_ordering(raw: Any) -> int:
-    if isinstance(raw, int):
+    """An ordering index, given as an integer or as a name such as "P0"."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
     if isinstance(raw, str):
         s = raw.strip().upper()

@@ -29,7 +29,6 @@ from .forms import (
     HermitianForm,
     QuadraticFormF,
     _verify_diagonalization,
-    diag_form,
     diagonalize,
     nonsingular_part,
     rank_one,
@@ -37,7 +36,7 @@ from .forms import (
     times,
     unit_form,
 )
-from .morita import full_reduction
+from .morita import full_reduction, reduced_diagonal
 from .orders import classify, orderings_of
 
 __all__ = [
@@ -61,7 +60,7 @@ def sign_eta(h: HermitianForm, p: int, strategy: str = "first") -> int:
     """Signature of h at ordering p under the reference normalization."""
     if classify(h.alg, p).nil:
         return 0
-    return _signature(h.alg, diagonalize(full_reduction(h).gram, strategy), p)
+    return _signature(h.alg, reduced_diagonal(h, strategy), p)
 
 
 def _signature(
@@ -107,15 +106,10 @@ def in_m_p(alg: AlgebraWithInvolution, a: MatD, p: int) -> bool:
     info = classify(alg, p)
     if info.nil:
         raise NilOrdering(f"all signatures vanish at ordering {p}")
-    if not alg.is_symmetric(a):
-        raise NotSymmetric("element is not sigma-symmetric")
-    if a.is_zero():
-        return True
-    try:
-        a.inverse()
-    except Singular:
-        return False
-    return sign_eta(rank_one(alg, a), p) == info.n_p
+    res = reduced_diagonal(rank_one(alg, a))
+    # congruence keeps rank: a is invertible iff no entry of res is zero
+    invertible = res.rank == len(res.entries)
+    return a.is_zero() or (invertible and _signature(alg, res, p) == info.n_p)
 
 
 def eta_maximal(alg: AlgebraWithInvolution, u: MatD, p: int) -> bool:
@@ -124,13 +118,9 @@ def eta_maximal(alg: AlgebraWithInvolution, u: MatD, p: int) -> bool:
     Criterion: every nonzero diagonal entry of the reduced diagonalization
     of <u> is positive at p.
     """
-    info = classify(alg, p)
-    if info.nil:
+    if classify(alg, p).nil:
         raise NilOrdering(f"all signatures vanish at ordering {p}")
-    if not alg.is_symmetric(u):
-        raise NotSymmetric("element is not sigma-symmetric")
-    res = diagonalize(full_reduction(rank_one(alg, u)).gram)
-    return all(e.is_zero() or e.sign_at(p) == 1 for e in res.entries)
+    return reduced_diagonal(rank_one(alg, u)).in_cone_at(p)
 
 
 # -- Sylvester-style decomposition -------------------------------------------
@@ -188,7 +178,7 @@ def pre_sylvester(
     info = classify(alg, p)
     if info.nil:
         raise NilOrdering(f"all signatures vanish at ordering {p}")
-    res = diagonalize(full_reduction(h).gram, strategy)
+    res = reduced_diagonal(h, strategy)
     if any(e.is_zero() for e in res.entries):
         raise Singular("form is singular")
     ell = alg.ell
@@ -211,7 +201,7 @@ def pre_sylvester(
     )
     _verify_diagonalization(full_reduction(lhs).gram, lhs_res)
     rhs = tensor(QuadraticFormF(dec.pos + dec.neg), unit_form(alg))
-    rhs_res = diagonalize(full_reduction(rhs).gram)
+    rhs_res = reduced_diagonal(rhs)
     if (rhs.rank, rhs_res.rank) != (lhs.rank, lhs_res.rank):
         raise InternalInvariantViolation("decomposition rank mismatch")
     for q in orderings_of(alg):

@@ -332,6 +332,41 @@ class TestCliErrors:
         assert main(["posinv", "--zoo", "quad-rt2-1",
                      "--ordering", "P1"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["sign", "--zoo", "split-q-2", "--table"], [], ["--json"]],
+        ids=["unknown-flag", "no-subcommand", "flag-without-subcommand"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sign", "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: poscones sign") and "--form" in out
+        assert err == ""
+
+    def test_deeply_nested_file_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["run", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: invalid JSON: nested too deeply\n"
+
+    def test_boolean_is_not_an_ordering(self):
+        for raw in (False, True):
+            with pytest.raises(ParseError):
+                parse_ordering(raw)
+        assert parse_ordering(1) == 1
+
 
 class TestProblemFiles:
     def test_run_all_true(self, capsys, tmp_path):
@@ -404,6 +439,7 @@ class TestProblemFiles:
             {"elements": {"one": json.loads(IDENT_ELEMENT)},
              "tasks": [{"command": "maximal-on", "element": "one",
                         "orderings": {"P0": 1}}]},
+            {"tasks": [{"command": "posinv", "ordering": False}]},
         ],
     )
     def test_malformed_file_is_a_one_line_error(self, capsys, malformed):
