@@ -455,9 +455,6 @@ class MatD:
         e = self.alg.from_field(c)
         return MatD(self.alg, [[e * x for x in r] for r in self.entries])
 
-    def scale_left(self, c: DElem) -> "MatD":
-        return MatD(self.alg, [[c * x for x in r] for r in self.entries])
-
     def theta_t(self) -> "MatD":
         """Conjugate transpose: entry (i, j) becomes theta of entry (j, i)."""
         return MatD(

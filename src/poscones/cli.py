@@ -93,16 +93,14 @@ def _parse_orderings(raw: Any) -> tuple[int, ...]:
 # -- the command table ---------------------------------------------------------
 #
 # A body takes the algebra and one task: the task's JSON object with its
-# form and element names replaced by the objects they name, and with the
-# run's "seed" and "budget".  It returns (verdict, JSON payload, text
-# lines); a false verdict makes the exit code 1.
+# form and element names replaced by the objects they name.  It returns
+# (verdict, JSON payload, text lines); a false verdict makes the exit code 1.
 
 
 class Command(NamedTuple):
     body: Callable[[AlgebraWithInvolution, dict], tuple[bool, Any, list[str]]]
     help: str
     keys: tuple[str, ...]  # the task keys it reads, each also a flag
-    search: bool  # takes the --seed and --budget of a bounded search
 
 
 COMMANDS: dict[str, Command] = {}
@@ -122,11 +120,11 @@ _FLAGS: dict[str, dict[str, Any]] = {
 }
 
 
-def _command(name: str, help: str, keys: str = "", search: bool = False):
+def _command(name: str, help: str, keys: str = ""):
     """Enter the decorated body in the command table under name."""
 
     def register(body):
-        COMMANDS[name] = Command(body, help, tuple(keys.split()), search)
+        COMMANDS[name] = Command(body, help, tuple(keys.split()))
         return body
 
     return register
@@ -243,13 +241,10 @@ def _maximal_on(alg, t):
 
 
 @_command(
-    "weakrep", "search for a weak representation of an element by a form",
-    "form element", search=True,
+    "weakrep", "build a weak representation of an element by a form", "form element"
 )
 def _weakrep(alg, t):
-    res = weakly_represents(
-        t["form"], t["element"], budget=t["budget"], seed=t["seed"]
-    )
+    res = weakly_represents(t["form"], t["element"])
     found = res.status == "yes"
     payload: dict[str, Any] = {"status": res.status}
     lines = [f"status {res.status}"]
@@ -309,7 +304,7 @@ def _ref(name: Any, kind: str, named: dict) -> Any:
     return named[name]
 
 
-def _run_problem(data: Any, seed: int, budget: int) -> list:
+def _run_problem(data: Any) -> list:
     """Execute every task; returns one (command, verdict, payload, lines) each."""
     alg, forms, elements, tasks = _load_problem(data)
     out = []
@@ -321,7 +316,7 @@ def _run_problem(data: Any, seed: int, budget: int) -> list:
         if cmd is None:
             raise TaskError(f"unknown task command {name!r}")
         try:
-            t = dict(spec, seed=seed, budget=budget)
+            t = dict(spec)
             if "form" in cmd.keys:
                 t["form"] = _ref(spec.get("form"), "form", forms)
             if "element" in cmd.keys:
@@ -368,14 +363,12 @@ def _one_task_problem(args: argparse.Namespace) -> dict:
 
 
 def _cmd_task(args):
-    [(_, ok, payload, lines)] = _run_problem(
-        _one_task_problem(args), getattr(args, "seed", 0), getattr(args, "budget", 64)
-    )
+    [(_, ok, payload, lines)] = _run_problem(_one_task_problem(args))
     return (0 if ok else 1), payload, lines
 
 
 def _cmd_run(args):
-    results = _run_problem(_load_blob(args.problem), args.seed, args.budget)
+    results = _run_problem(_load_blob(args.problem))
     records = [
         {"task": i, "command": name, "result": payload}
         for i, (name, _, payload, _) in enumerate(results)
@@ -439,13 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    def search(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="RNG seed for searches")
-        p.add_argument(
-            "--budget", type=int, default=64,
-            help="search budget for weak-representation probes (default: 64)",
-        )
-
     for name, cmd in COMMANDS.items():
         p = add(name, cmd.help, _cmd_task)
         p.add_argument("--zoo", help="name of a built-in algebra")
@@ -453,12 +439,9 @@ def _build_parser() -> argparse.ArgumentParser:
         for key in cmd.keys:
             settings = dict(_FLAGS[key])
             p.add_argument(settings.pop("flag", f"--{key}"), dest=key, **settings)
-        if cmd.search:
-            search(p)
 
     p = add("run", "execute a problem file of tasks", _cmd_run)
     p.add_argument("problem", help="problem file (JSON) or inline JSON")
-    search(p)
 
     p = add("selftest", "run the acceptance suite on the zoo", _cmd_selftest)
     p.add_argument("--seed", type=int, default=0, help="RNG seed")

@@ -23,6 +23,7 @@ from .errors import (
     NilOrdering,
     NotSymmetric,
     OrderingNotInXTilde,
+    Singular,
 )
 from .forms import rank_one
 from .morita import base_algebra, reduced_diagonal, standard_algebra
@@ -111,7 +112,6 @@ def scale_cone(a: MatD, cone: PositiveCone) -> PositiveCone:
     alg = cone.alg
     if not alg.is_symmetric(a):
         raise NotSymmetric("scaling element is not sigma-symmetric")
-    a.inverse()  # raises Singular when not a unit
     scalar_diag = [a[i, i] for i in range(alg.ell)]
     if (
         all(e.is_scalar() for e in scalar_diag)
@@ -119,9 +119,12 @@ def scale_cone(a: MatD, cone: PositiveCone) -> PositiveCone:
         and a == MatD.scalar(alg.div, scalar_diag[0], alg.ell)
     ):
         lam = scalar_diag[0].scalar()
+        if lam.is_zero():
+            raise Singular("matrix is not invertible")
         return PositiveCone(
             alg, cone.ordering, cone.eps * lam.sign_at(cone.ordering)
         )
+    # the algebra inverts a * phi, so it raises Singular when a is not a unit
     target = AlgebraWithInvolution(alg.ell, alg.div, a * alg.phi)
     return PositiveCone(target, cone.ordering, cone.eps)
 

@@ -13,10 +13,10 @@ returned as field elements; zero entries are moved to the end.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import isqrt
+from typing import Iterator, Sequence
 
 from .algebra import AlgebraWithInvolution, DElem, MatD, kron_identity_left
 from .errors import (
@@ -100,11 +100,6 @@ class HermitianForm:
     def block(self, i: int, j: int) -> MatD:
         ell = self.alg.ell
         return self.gram.submatrix(i * ell, j * ell, ell, ell)
-
-    def blocks(self) -> list[list[MatD]]:
-        return [
-            [self.block(i, j) for j in range(self.rank)] for i in range(self.rank)
-        ]
 
     def evaluate(self, x: MatD, y: MatD) -> MatD:
         """h(x, y) = sum sigma(x_i) B_ij y_j for columns x, y in A^rank.
@@ -252,12 +247,36 @@ def diagonalize(h: MatD, strategy: str = "first") -> DiagonalizationResult:
 
 
 def _verify_diagonalization(h: MatD, res: DiagonalizationResult) -> None:
-    check = res.witness.theta_t() * h * res.witness
-    expected = MatD.diagonal(
-        h.alg, [h.alg.from_field(e) for e in res.entries]
-    )
-    if check != expected:
+    """Check theta_t(G) * H * G == diag(entries) and that G is invertible.
+
+    With no zero entry the identity alone proves G invertible.  Otherwise
+    the k trailing (radical) columns G_k must have full column rank: if
+    G v == 0, the identity makes v vanish at the nonzero entries and the
+    rank of G_k makes the rest vanish (so H * G_k == 0 needs no check).
+    """
+    g = res.witness
+    expected = MatD.diagonal(h.alg, [h.alg.from_field(e) for e in res.entries])
+    if g.theta_t() * h * g != expected:
         raise InternalInvariantViolation("diagonalization identity failed")
+    k = len(res.entries) - res.rank
+    if k and not _has_full_column_rank(g.submatrix(0, g.cols - k, g.rows, k)):
+        raise InternalInvariantViolation("diagonalization witness is singular")
+
+
+def _has_full_column_rank(m: MatD) -> bool:
+    """True when m * v == 0 only for v == 0, by row elimination over D."""
+    rows = [list(r) for r in m.entries]
+    for c in range(m.cols):
+        i = next((i for i, r in enumerate(rows) if not r[c].is_zero()), None)
+        if i is None:
+            return False
+        piv = rows.pop(i)
+        inv = piv[c].inverse()
+        for r in rows:
+            if not r[c].is_zero():
+                f = r[c] * inv
+                r[c:] = [x - f * y for x, y in zip(r[c:], piv[c:])]
+    return True
 
 
 # -- constructors ------------------------------------------------------------
@@ -302,9 +321,7 @@ def times(m: int, h: HermitianForm) -> HermitianForm:
     if m < 0:
         raise ValueError("copy count must be >= 0")
     if m == 0 or h.rank == 0:
-        return HermitianForm(
-            h.alg, 0, MatD.zeros(h.alg.div, 0, 0), _checked=True
-        )
+        return diag_form(h.alg, [])
     gram = MatD.block_diag([h.gram] * m)
     return HermitianForm(h.alg, m * h.rank, gram, _checked=True)
 
@@ -315,9 +332,7 @@ def tensor(q: QuadraticFormF, h: HermitianForm) -> HermitianForm:
         if u.field != h.alg.field:
             raise ValueError("field mismatch between form factors")
     if not q.entries or h.rank == 0:
-        return HermitianForm(
-            h.alg, 0, MatD.zeros(h.alg.div, 0, 0), _checked=True
-        )
+        return diag_form(h.alg, [])
     gram = MatD.block_diag([h.gram.scale_field(u) for u in q.entries])
     return HermitianForm(h.alg, q.dim * h.rank, gram, _checked=True)
 
@@ -332,10 +347,9 @@ def scale_form(c: MatD, h: HermitianForm) -> HermitianForm:
     if not alg.is_symmetric(c):
         raise NotSymmetric("scaling element is not sigma-symmetric")
     try:
-        c.inverse()
+        new_alg = AlgebraWithInvolution(alg.ell, alg.div, c * alg.phi)
     except Singular:
         raise Singular("scaling element is not invertible") from None
-    new_alg = AlgebraWithInvolution(alg.ell, alg.div, c * alg.phi)
     gram = kron_identity_left(max(h.rank, 0), c) * h.gram if h.rank else h.gram
     return HermitianForm(new_alg, h.rank, gram, _checked=True)
 
@@ -407,134 +421,105 @@ def morita_diag_rep(h: HermitianForm) -> tuple[MatD, ...]:
     return coeffs
 
 
-# -- bounded search for weak representation ----------------------------------
+# -- weak representation by a formula ----------------------------------------
 
 
 @dataclass(frozen=True)
 class WeakRepResult:
-    """Outcome of a bounded search for u among values of copies of h."""
+    """Whether u is a value of m copies of h, with the witness x if it is."""
 
     status: str  # "yes" | "unknown"
     copies: int = 0
     witness: MatD | None = None
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    from math import isqrt
+def _squares(q: Fraction) -> list[Fraction]:
+    """Rational squares summing to q > 0, by greedy descent on q = n / den^2.
 
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _field_square_scale(u: FieldElem, d: FieldElem) -> FieldElem | None:
-    """c with c^2 * d == u and c rational, if one exists."""
-    if d.is_zero():
-        return None
-    ratio = u / d
-    if not ratio.is_rational():
-        return None
-    c = _rational_sqrt(ratio.a)
-    if c is None:
-        return None
-    return u.field.elem(c)
+    Each step n -> n - isqrt(n)^2 leaves at most 2 * sqrt(n): O(log log n) steps.
+    """
+    den = q.denominator
+    n = q.numerator * den
+    out = []
+    while n:
+        r = isqrt(n)
+        out.append(Fraction(r, den))
+        n -= r * r
+    return out
 
 
-def weakly_represents(
-    h: HermitianForm,
-    u: MatD,
-    budget: int = 64,
-    seed: int = 0,
-) -> WeakRepResult:
-    """Search for x with (m x h)(x, x) == u for some m <= budget.
+def _combinations(e: FieldElem, gens: list) -> Iterator[list]:
+    """e as a positive rational combination of one or two generators.
 
-    A "yes" answer always carries an exact witness x, re-checked before it
-    is returned; "unknown" only means the bounded search failed.  u must be
-    sigma-symmetric.
+    Yields lists of (slot, coordinate, squares summing to the coefficient).
+    In the coordinates (1, sqrt(d)) of the base field, two generators
+    suffice whenever any nonnegative combination exists (Caratheodory).
+    """
+    for j, i, g in gens:
+        r = e / g
+        if r.is_rational() and r.a > 0:
+            yield [(j, i, _squares(r.a))]
+    for k, (j1, i1, g1) in enumerate(gens):
+        for j2, i2, g2 in gens[k + 1 :]:
+            det = g1.a * g2.b - g2.a * g1.b
+            if det:
+                l1 = (e.a * g2.b - g2.a * e.b) / det
+                l2 = (g1.a * e.b - e.a * g1.b) / det
+                if l1 > 0 and l2 > 0:
+                    yield [(j1, i1, _squares(l1)), (j2, i2, _squares(l2))]
+
+
+def weakly_represents(h: HermitianForm, u: MatD) -> WeakRepResult:
+    """Build x with (m x h)(x, x) == u from a formula, with no search.
+
+    The reductions of h and <u> to (D, theta) diagonalize to <d_j> and
+    <e_c>.  With <c_i> = <theta(beta) beta> over the standard basis of D
+    (the norm form), an element of D with coordinates q_i in slot j of a
+    copy of h adds d_j * sum_i c_i q_i^2.  So each nonzero e_c is written
+    as a nonnegative rational combination of at most two generators
+    d_j * c_i: a single one whose ratio is a rational square if there is
+    one, else any; among those, the one that needs the fewest copies.
+    Each coefficient is split into rational squares, and each square
+    fills one coordinate of one copy of slot j.
+
+    The answer is "yes", with a re-checked witness, exactly when every
+    nonzero e_c is such a combination; otherwise it is "unknown".  u must
+    be sigma-symmetric.
     """
     from .morita import reduced_diagonal
 
-    alg = h.alg
+    alg, ell = h.alg, h.alg.ell
     if not alg.is_symmetric(u):
         raise NotSymmetric("target element is not sigma-symmetric")
-    ell = alg.ell
     if u.is_zero():
-        witness = MatD.zeros(alg.div, h.rank * ell, ell)
-        return WeakRepResult("yes", 1, witness)
-    if h.rank == 0:
-        return WeakRepResult("unknown")
+        return WeakRepResult("yes", 1, MatD.zeros(alg.div, h.rank * ell, ell))
 
-    rng = random.Random(seed)
     res = reduced_diagonal(h)
-    d_entries = res.entries  # diagonal of one copy of h after reduction
-
-    # diagonalize the reduction of <u> so both sides are diagonal over F
     tres = reduced_diagonal(rank_one(alg, u))
+    norm = [(b.theta() * b).scalar() for b in alg.div.basis()]
+    gens = [(j, i, d * c) for i, c in enumerate(norm)
+            for j, d in enumerate(res.entries) if not d.is_zero()]
+    used = [0] * len(res.entries)  # copies of each slot filled so far
+    placed = []  # (copy, slot, column, coordinate, square root)
+    for col, e in enumerate(tres.entries):
+        if e.is_zero():
+            continue
+        split = min(_combinations(e, gens), default=None, key=lambda s: (
+            len(s) > 1 or len(s[0][2]) > 1, max(used[j] + len(q) for j, _, q in s)
+        ))
+        if split is None:
+            return WeakRepResult("unknown")
+        base = list(used)
+        for j, i, sq in split:
+            placed += [(base[j] + r, j, col, i, q) for r, q in enumerate(sq)]
+            used[j] = max(used[j], base[j] + len(sq))
 
-    def check(m: int, x: MatD) -> WeakRepResult | None:
-        val = times(m, h).evaluate(x, x)
-        if val == u:
-            return WeakRepResult("yes", m, x)
-        return None
-
-    def structured(m: int) -> WeakRepResult | None:
-        # match each diagonal value of <u> to a slot d_j scaled by a
-        # rational square, re-using each slot (across the m copies) once
-        total = list(d_entries) * m
-        used = [False] * len(total)
-        n = len(total)
-        sel = MatD.zeros(alg.div, n, ell).entries
-        sel = [list(r) for r in sel]
-        for col, e in enumerate(tres.entries):
-            if e.is_zero():
-                continue
-            hit = None
-            for j, dj in enumerate(total):
-                if used[j] or dj.is_zero():
-                    continue
-                c = _field_square_scale(e, dj)
-                if c is not None:
-                    hit = (j, c)
-                    break
-            if hit is None:
-                return None
-            j, c = hit
-            used[j] = True
-            sel[j][col] = alg.div.from_field(c)
-        sel_m = MatD(alg.div, sel)
-        big_g = MatD.block_diag([res.witness] * m)
-        x = big_g * sel_m * tres.witness.inverse()
-        return check(m, x)
-
-    small = [alg.field.elem(v) for v in (0, 1, -1, 2, -2, Fraction(1, 2))]
-
-    def random_candidate(m: int) -> WeakRepResult | None:
-        n = m * h.rank * ell
-        entries = [
-            [
-                DElem(
-                    alg.div,
-                    tuple(
-                        rng.choice(small) if rng.random() < 0.6 else alg.field.zero()
-                        for _ in range(alg.div.dim)
-                    ),
-                )
-                for _ in range(ell)
-            ]
-            for _ in range(n)
-        ]
-        return check(m, MatD(alg.div, entries))
-
-    for m in range(1, budget + 1):
-        if m <= 8:
-            got = structured(m)
-            if got is not None:
-                return got
-        for _ in range(4):
-            got = random_candidate(m)
-            if got is not None:
-                return got
-    return WeakRepResult("unknown")
+    m, n = max(used), len(res.entries)
+    coords = [[list(alg.div.zero().coords) for _ in range(ell)] for _ in range(m * n)]
+    for k, j, col, i, q in placed:
+        coords[k * n + j][col][i] = alg.field.elem(q)
+    sel = MatD(alg.div, [[DElem(alg.div, tuple(c)) for c in row] for row in coords])
+    x = MatD.block_diag([res.witness] * m) * sel * tres.witness.inverse()
+    if times(m, h).evaluate(x, x) != u:
+        raise InternalInvariantViolation("weak representation witness failed its check")
+    return WeakRepResult("yes", m, x)

@@ -12,6 +12,7 @@ from poscones import (
     NotSymmetric,
     OrderingNotInXTilde,
     PositiveCone,
+    Singular,
     base_algebra,
     enumerate_cones,
     formally_real,
@@ -127,6 +128,14 @@ class TestScaleCone:
         k = PositiveCone(alg, 0, 1)
         flipped = scale_cone(-alg.identity(), k)
         assert flipped.alg == alg and flipped.eps == -1
+
+    def test_rejects_a_non_unit(self):
+        alg = zoo_algebra("split-q-2")
+        k = PositiveCone(alg, 0, 1)
+        with pytest.raises(Singular):
+            scale_cone(alg.zero(), k)
+        with pytest.raises(Singular):
+            scale_cone(qmat([[1, 1], [1, 1]]), k)
 
     def test_general_twist_moves_the_handle(self):
         alg = zoo_algebra("split-q-2")

@@ -1,5 +1,7 @@
 """Hermitian forms, congruence diagonalization, and form constructors."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from poscones import (
     DivisionAlgebraDesc,
     FieldDesc,
     HermitianForm,
+    InternalInvariantViolation,
     MatD,
     NotHermitian,
     NotSymmetric,
@@ -28,7 +31,10 @@ from poscones import (
     unit_form,
     weakly_represents,
     zoo_algebra,
+    zoo_names,
 )
+from poscones.forms import DiagonalizationResult, _verify_diagonalization
+from poscones.sampling import rand_invertible_symmetric
 
 Q = FieldDesc()
 SPLIT = DivisionAlgebraDesc(Q, "split")
@@ -65,6 +71,23 @@ class TestDiagonalize:
         assert res.rank == 1
         assert res.sign_counts_at(0) == (1, 0, 1)
         check_witness(h, res)
+
+    def test_zeroed_radical_column_is_caught(self):
+        h = qmat([[1, 1], [1, 1]])
+        res = diagonalize(h)
+        rows = [list(r) for r in res.witness.entries]
+        rows[0][1] = rows[1][1] = SPLIT.zero()
+        broken = DiagonalizationResult(MatD(SPLIT, rows), res.entries)
+        # the identity still holds, so only the invertibility proof fails
+        assert broken.witness.theta_t() * h * broken.witness == qmat([[1, 0], [0, 0]])
+        with pytest.raises(InternalInvariantViolation):
+            _verify_diagonalization(h, broken)
+
+    def test_dependent_radical_columns_are_caught(self):
+        h = MatD.zeros(SPLIT, 2, 2)
+        broken = DiagonalizationResult(qmat([[1, 1], [0, 0]]), (Q.elem(0),) * 2)
+        with pytest.raises(InternalInvariantViolation):
+            _verify_diagonalization(h, broken)
 
     def test_zero_matrix(self):
         res = diagonalize(MatD.zeros(SPLIT, 3, 3))
@@ -221,7 +244,7 @@ class TestWeakRepresentation:
 
     def test_negative_target_stays_unknown(self):
         alg = zoo_algebra("split-q-1")
-        res = weakly_represents(unit_form(alg), qmat([[-1]]), budget=8)
+        res = weakly_represents(unit_form(alg), qmat([[-1]]))
         assert res.status == "unknown"
 
     def test_matrix_target(self):
@@ -236,3 +259,45 @@ class TestWeakRepresentation:
         alg = zoo_algebra("split-q-2")
         with pytest.raises(NotSymmetric):
             weakly_represents(unit_form(alg), qmat([[0, 1], [0, 0]]))
+
+    def test_two_generators_over_rt2(self):
+        # 3 + sqrt(2) = 3 * 1 + 1 * sqrt(2) over the norm form <1, sqrt(2)>,
+        # and 3 is a sum of three rational squares, not of two
+        alg = zoo_algebra("quad-rt2-1")
+        h = unit_form(alg)
+        u = MatD.scalar(alg.div, alg.field.elem(3, 1), 1)
+        res = weakly_represents(h, u)
+        assert res.status == "yes" and res.copies == 3
+        assert times(res.copies, h).evaluate(res.witness, res.witness) == u
+
+    def test_two_generators_share_one_copy(self):
+        # 2 + sqrt(2) = 1 + (1 + sqrt(2)) over the norm form
+        # <1, 1, 1 + sqrt(2), 1 + sqrt(2)>: two coordinates of one quaternion
+        alg = zoo_algebra("quat-rt2-1")
+        h = unit_form(alg)
+        e = alg.field.elem(2, 1)
+        for b in alg.div.basis():
+            assert not (e / (b.theta() * b).scalar()).is_rational()
+        u = MatD.scalar(alg.div, e, 1)
+        res = weakly_represents(h, u)
+        assert res.status == "yes" and res.copies == 1
+        assert times(res.copies, h).evaluate(res.witness, res.witness) == u
+
+    def test_sixty_digit_entry_is_fast(self):
+        alg = zoo_algebra("split-q-1")
+        h = unit_form(alg)
+        u = qmat([[Fraction(10**59 + 7, 3)]])
+        start = time.perf_counter()
+        res = weakly_represents(h, u)
+        assert time.perf_counter() - start < 1.0
+        assert res.status == "yes"
+        assert times(res.copies, h).evaluate(res.witness, res.witness) == u
+
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_scaled_square_needs_one_copy(self, name):
+        alg = zoo_algebra(name)
+        a = rand_invertible_symmetric(random.Random(f"weakrep:{name}"), alg)
+        u = a.scale_field(9)
+        res = weakly_represents(rank_one(alg, a), u)
+        assert res.status == "yes" and res.copies == 1
+        assert rank_one(alg, a).evaluate(res.witness, res.witness) == u

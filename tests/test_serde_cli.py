@@ -285,20 +285,25 @@ class TestCommandTable:
         ) + "\n"
 
     def test_weakrep_search_flags(self, capsys):
-        flags = ["--seed", "3", "--budget", "4"]
-        assert main(["weakrep", "--zoo", "split-q-2", "--form", UNIT_FORM_2,
-                     "--element", IDENT_ELEMENT, "--json", *flags]) == 0
+        # the weak representation is built, not searched for: no seed, no budget
+        weakrep = ["weakrep", "--zoo", "split-q-2", "--form", UNIT_FORM_2,
+                   "--element", IDENT_ELEMENT]
+        run = ["run", json.dumps({"schema": "1", "zoo": "split-q-1", "tasks": []})]
+        for argv in (weakrep + ["--budget", "4"], weakrep + ["--budget", "0"],
+                     run + ["--seed", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_weakrep_needs_two_generators(self, capsys):
+        assert main(["weakrep", "--zoo", "quad-rt2-1",
+                     "--form", '{"rank":1,"gram":[[[[["1","0"]]]]]}',
+                     "--element", '[[["3+sqrt(2)","0"]]]', "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["status"] == "yes"
-        problem = {
-            "schema": "1",
-            "zoo": "split-q-2",
-            "forms": {"u": json.loads(UNIT_FORM_2)},
-            "elements": {"one": json.loads(IDENT_ELEMENT)},
-            "tasks": [{"command": "weakrep", "form": "u", "element": "one"}],
-        }
-        assert main(["run", json.dumps(problem), "--json", *flags]) == 0
-        assert json.loads(capsys.readouterr().out)["results"][0]["result"] == data
+        assert data["status"] == "yes" and data["copies"] == 3
 
 
 class TestCliErrors:
