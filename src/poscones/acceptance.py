@@ -36,7 +36,7 @@ from .forms import (
     rank_one,
     tensor,
 )
-from .morita import base_algebra, theta_algebra
+from .morita import base_algebra, full_reduction, theta_algebra
 from .orders import classify, orderings_of, x_tilde
 from .sampling import (
     rand_fieldelem,
@@ -412,10 +412,12 @@ def criterion_7(seed: int, scale: float = 1.0) -> CriterionResult:
         for i in range(per_algebra):
             rank = 1 + (i % max_rank)
             h = _random_form(rng, alg, rank, nonsingular=True)
+            # inertia: pre_sylvester pivots "first"; compare a "last" run
+            last = diagonalize(full_reduction(h).gram, "last")
             for p in live:
-                dec = pre_sylvester(h, p, "first")
-                dec2 = pre_sylvester(h, p, "last")
-                if (dec.r, dec.s) != (dec2.r, dec2.s):
+                dec = pre_sylvester(h, p)
+                pos, neg, _ = last.sign_counts_at(p)
+                if (dec.r, dec.s) != (alg.ell * pos, alg.ell * neg):
                     return CriterionResult(
                         7, name, False, f"inertia failed on {zname} at P{p}"
                     )

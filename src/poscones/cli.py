@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -30,7 +31,7 @@ from .cones import (
     positive_involution_at,
 )
 from .errors import ParseError, PosconesError, TaskError
-from .forms import PIVOT_STRATEGIES, weakly_represents
+from .forms import weakly_represents
 from .morita import full_reduction, reduced_diagonal
 from .orders import classify_all, orderings_of, x_tilde
 from .serde import (
@@ -116,7 +117,6 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "ordering": {"help": "ordering, e.g. P0"},
     "orderings": {"help": "comma-separated orderings (default: all non-nil)"},
     "eps": {"help": "cone sign, +1 (default) or -1"},
-    "strategy": {"choices": PIVOT_STRATEGIES, "help": "pivot search order"},
 }
 
 
@@ -147,9 +147,9 @@ def _sign(alg, t):
     return True, table, [f"{k}  {v}" for k, v in sorted(table.items())]
 
 
-@_command("diag", "diagonalize the reduction of a form", "form strategy")
+@_command("diag", "diagonalize the reduction of a form", "form")
 def _diag(alg, t):
-    res = reduced_diagonal(t["form"], t.get("strategy", "first"))
+    res = reduced_diagonal(t["form"])
     payload = {
         "entries": [str(e) for e in res.entries],
         "rank": res.rank,
@@ -207,12 +207,11 @@ def _hsigma(alg, t):
 
 
 @_command(
-    "presylvester", "scalar decomposition of a form at an ordering",
-    "form ordering strategy",
+    "presylvester", "scalar decomposition of a form at an ordering", "form ordering"
 )
 def _presylvester(alg, t):
     p = parse_ordering(t.get("ordering"))
-    dec = pre_sylvester(t["form"], p, t.get("strategy", "first"))
+    dec = pre_sylvester(t["form"], p)
     payload = {
         "ordering": ordering_name(dec.ordering),
         "n_P": dec.n_p,
@@ -315,6 +314,9 @@ def _run_problem(data: Any) -> list:
         cmd = COMMANDS.get(name) if isinstance(name, str) else None
         if cmd is None:
             raise TaskError(f"unknown task command {name!r}")
+        unknown = sorted(set(spec) - {"command", *cmd.keys})
+        if unknown:
+            raise ParseError(f"task {i} ({name}) has unknown key {unknown[0]!r}")
         try:
             t = dict(spec)
             if "form" in cmd.keys:
@@ -385,8 +387,8 @@ def _cmd_zoo(args):
 
 
 def _cmd_selftest(args):
-    if args.scale <= 0:
-        raise ParseError(f"--scale must be positive, got {args.scale}")
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        raise ParseError(f"--scale must be finite and positive, got {args.scale}")
     results = run_all(args.seed, args.scale)
     records = [
         {

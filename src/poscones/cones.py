@@ -29,7 +29,7 @@ from .forms import rank_one
 from .morita import base_algebra, reduced_diagonal, standard_algebra
 from .orders import classify, x_tilde
 from .sampling import rand_matd, rand_positive_at
-from .signature import is_positive_involution, m_p
+from .signature import is_positive_involution
 
 __all__ = [
     "PositiveCone",
@@ -220,16 +220,18 @@ def positive_involution_at(
 ) -> tuple[MatD, AlgebraWithInvolution]:
     """Construct b with tau = Int(b) o sigma positive at ordering p.
 
-    b is the inverse of the maximal-signature witness; the twisted algebra
-    (same underlying matrices, twist matrix b * phi) is returned alongside.
-    Raises NilOrdering when p is nil, where no positive involution exists.
+    phi attains the maximal signature at every non-nil ordering (see
+    m_p), so b = phi^-1 works: b * phi = 1, tau is theta_t, and the
+    twisted algebra returned alongside is (M_ell(D), theta_t).  b is
+    certified by is_positive_involution.  Raises NilOrdering when p is
+    nil, where no positive involution exists.
     """
-    _, c = m_p(alg, p)
-    b = c.inverse()
-    tau_alg = AlgebraWithInvolution(alg.ell, alg.div, b * alg.phi)
+    if classify(alg, p).nil:
+        raise NilOrdering(f"all signatures vanish at ordering {p}")
+    b = alg.phi_inv
     if not is_positive_involution(alg, b, p):
         raise InternalInvariantViolation("constructed involution not positive")
-    return b, tau_alg
+    return b, standard_algebra(alg.ell, alg.div)
 
 
 def formally_real(alg: AlgebraWithInvolution) -> bool:

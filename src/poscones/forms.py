@@ -45,9 +45,6 @@ __all__ = [
     "WeakRepResult",
 ]
 
-PIVOT_STRATEGIES = ("first", "last")
-
-
 @dataclass(frozen=True)
 class QuadraticFormF:
     """Diagonal quadratic form <u_1, ..., u_m> over the base field."""
@@ -177,7 +174,7 @@ def diagonalize(h: MatD, strategy: str = "first") -> DiagonalizationResult:
     pivot search order ("first" or "last") and never changes rank or, at
     any ordering where signatures are defined, the entry sign counts.
     """
-    if strategy not in PIVOT_STRATEGIES:
+    if strategy not in ("first", "last"):
         raise ValueError(f"unknown pivot strategy {strategy!r}")
     if not h.is_theta_hermitian():
         raise NotHermitian("input matrix is not theta-hermitian")
@@ -358,12 +355,15 @@ def scale_form(c: MatD, h: HermitianForm) -> HermitianForm:
 
 
 def nonsingular_part(h: HermitianForm) -> tuple[HermitianForm, int]:
-    """Split h as (nonsingular part, zero rank).
+    """Split h as (part, zero rank): h is isometric to part + the zero form.
 
-    The reduction of h to the base division algebra is diagonalized; the
-    nonzero entries, padded with zeros up to a multiple of ell, are pulled
-    back to a diagonal form over the original algebra.  When h is already
-    nonsingular it is returned unchanged.
+    The reduction of h to the base division algebra is diagonalized; its
+    m nonzero entries, padded with zeros up to a multiple of ell, are
+    pulled back to a diagonal form over the original algebra.  The part
+    is nonsingular only when ell divides m; otherwise it carries (-m) mod
+    ell zero entries over D, e.g. <diag(1, 0)> over M_2(Q) comes back
+    unchanged with zero rank 0.  When h is already nonsingular it is
+    returned unchanged.
     """
     from .morita import reduced_diagonal
 

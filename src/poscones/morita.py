@@ -89,8 +89,6 @@ def full_reduction(h: HermitianForm) -> HermitianForm:
     return collapse(scale_involution(h))
 
 
-def reduced_diagonal(
-    h: HermitianForm, strategy: str = "first"
-) -> DiagonalizationResult:
+def reduced_diagonal(h: HermitianForm) -> DiagonalizationResult:
     """The verified diagonalization of the reduction of h to (D, theta)."""
-    return diagonalize(full_reduction(h).gram, strategy)
+    return diagonalize(full_reduction(h).gram)

@@ -30,7 +30,6 @@ from .forms import (
     QuadraticFormF,
     _verify_diagonalization,
     diagonalize,
-    nonsingular_part,
     rank_one,
     tensor,
     times,
@@ -56,11 +55,11 @@ __all__ = [
 REFERENCE_CONVENTION = "reduction-positive"
 
 
-def sign_eta(h: HermitianForm, p: int, strategy: str = "first") -> int:
+def sign_eta(h: HermitianForm, p: int) -> int:
     """Signature of h at ordering p under the reference normalization."""
     if classify(h.alg, p).nil:
         return 0
-    return _signature(h.alg, reduced_diagonal(h, strategy), p)
+    return _signature(h.alg, reduced_diagonal(h), p)
 
 
 def _signature(
@@ -75,29 +74,16 @@ def _signature(
 def m_p(alg: AlgebraWithInvolution, p: int) -> tuple[int, MatD]:
     """Largest rank-one signature at p, with an element attaining it.
 
-    Returns (n_P, c) where c is symmetric, invertible, and
-    sign_eta(<c>, p) == n_P.  Raises NilOrdering at nil orderings, where
-    every signature vanishes.
+    Returns (n_P, phi): the reduction of <phi> is <1, ..., 1>, so phi
+    attains n_P at every non-nil ordering; that value is re-checked.
+    Raises NilOrdering at nil orderings, where every signature vanishes.
     """
     info = classify(alg, p)
     if info.nil:
         raise NilOrdering(f"all signatures vanish at ordering {p}")
-    res = diagonalize(alg.phi)
-    phis = res.entries
-    if any(e.is_zero() for e in phis):
-        raise InternalInvariantViolation("twist matrix diagonalized to a zero")
-    g = res.witness
-    flipped = MatD.diagonal(
-        alg.div,
-        [alg.div.from_field(e * e.sign_at(p)) for e in phis],
-    )
-    g_inv = g.inverse()
-    n = g_inv.theta_t() * flipped * g_inv
-    c = alg.phi * n
-    value = sign_eta(rank_one(alg, c), p)
-    if value != info.n_p:
+    if sign_eta(rank_one(alg, alg.phi), p) != info.n_p:
         raise InternalInvariantViolation("witness element missed the bound")
-    return info.n_p, c
+    return info.n_p, alg.phi
 
 
 def in_m_p(alg: AlgebraWithInvolution, a: MatD, p: int) -> bool:
@@ -159,9 +145,7 @@ class SylvesterDecomposition:
         return num // den
 
 
-def pre_sylvester(
-    h: HermitianForm, p: int, strategy: str = "first"
-) -> SylvesterDecomposition:
+def pre_sylvester(h: HermitianForm, p: int) -> SylvesterDecomposition:
     """Decompose ell^2 copies of h into signed scalar forms at ordering p.
 
     Requires the plain conjugate-transpose involution, a non-nil ordering,
@@ -178,7 +162,7 @@ def pre_sylvester(
     info = classify(alg, p)
     if info.nil:
         raise NilOrdering(f"all signatures vanish at ordering {p}")
-    res = reduced_diagonal(h, strategy)
+    res = reduced_diagonal(h)
     if any(e.is_zero() for e in res.entries):
         raise Singular("form is singular")
     ell = alg.ell
@@ -211,19 +195,10 @@ def pre_sylvester(
 
 
 def sign_cone(h: HermitianForm, cone) -> int:
-    """Signature of h relative to a positive cone (P, eps).
-
-    Equals eps * sign_eta at the cone's ordering; singular forms are
-    replaced by their nonsingular part first.  When the decomposition
-    route applies it is cross-checked.
-    """
-    ns, _ = nonsingular_part(h)
-    value = cone.eps * sign_eta(ns, cone.ordering)
-    if h.alg.has_standard_involution and ns.rank > 0:
-        dec = pre_sylvester(ns, cone.ordering)
-        if dec.sign_value(cone.eps) != value:
-            raise InternalInvariantViolation("decomposition sign mismatch")
-    return value
+    """Signature of h relative to a positive cone (P, eps): eps * sign_eta
+    at the cone's ordering.  Zero entries of the reduced diagonal carry no
+    sign, so singular forms need no separate treatment."""
+    return cone.eps * sign_eta(h, cone.ordering)
 
 
 # -- involution trace forms ---------------------------------------------------

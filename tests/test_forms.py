@@ -212,6 +212,13 @@ class TestConstructors:
         assert nullity == 1
         assert ns.rank == 2
         assert sign_eta(ns, 0) == 0
+        # one nonzero reduced entry is padded to a whole ell = 2 block, so
+        # the part is singular: ell does not divide the reduced rank 1
+        alg = zoo_algebra("split-q-2")
+        h = rank_one(alg, qmat([[1, 0], [0, 0]]))
+        ns, nullity = nonsingular_part(h)
+        assert (ns, nullity) == (h, 0)
+        assert diagonalize(ns.gram).rank == 1
 
     def test_morita_diag_rep(self):
         alg = zoo_algebra("split-q-2")

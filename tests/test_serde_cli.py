@@ -53,8 +53,7 @@ PARITY = [
     ("sign", ["--form", UNIT_FORM_2], {"form": "u"}),
     ("sign", ["--form", UNIT_FORM_2, "--ordering", "P0"],
      {"form": "u", "ordering": "P0"}),
-    ("diag", ["--form", UNIT_FORM_2, "--strategy", "last"],
-     {"form": "u", "strategy": "last"}),
+    ("diag", ["--form", UNIT_FORM_2], {"form": "u"}),
     ("collapse", ["--form", UNIT_FORM_2], {"form": "u"}),
     ("cones", [], {}),
     ("member", ["--element", IDENT_ELEMENT, "--ordering", "P0", "--eps", "+"],
@@ -64,9 +63,8 @@ PARITY = [
     ("posinv", ["--ordering", "P0"], {"ordering": "P0"}),
     ("hsigma", ["--element", IDENT_ELEMENT, "--element", INDEF_ELEMENT],
      {"elements": ["one", "w"]}),
-    ("presylvester",
-     ["--form", UNIT_FORM_2, "--ordering", "P0", "--strategy", "last"],
-     {"form": "u", "ordering": "P0", "strategy": "last"}),
+    ("presylvester", ["--form", UNIT_FORM_2, "--ordering", "P0"],
+     {"form": "u", "ordering": "P0"}),
     ("maximal-on", ["--element", IDENT_ELEMENT], {"element": "one"}),
     ("maximal-on", ["--element", INDEF_ELEMENT, "--orderings", "P0"],
      {"element": "w", "orderings": ["P0"]}),
@@ -339,8 +337,15 @@ class TestCliErrors:
 
     @pytest.mark.parametrize(
         "argv",
-        [["sign", "--zoo", "split-q-2", "--table"], [], ["--json"]],
-        ids=["unknown-flag", "no-subcommand", "flag-without-subcommand"],
+        [
+            ["sign", "--zoo", "split-q-2", "--table"],
+            [],
+            ["--json"],
+            ["diag", "--zoo", "split-q-2", "--form", UNIT_FORM_2,
+             "--strategy", "last"],
+        ],
+        ids=["unknown-flag", "no-subcommand", "flag-without-subcommand",
+             "diag-strategy"],
     )
     def test_usage_error_is_one_line(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -349,6 +354,13 @@ class TestCliErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    def test_selftest_scale_is_finite_and_positive(self, capsys, scale):
+        assert main(["selftest", f"--scale={scale}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: --scale ")
 
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -445,6 +457,10 @@ class TestProblemFiles:
              "tasks": [{"command": "maximal-on", "element": "one",
                         "orderings": {"P0": 1}}]},
             {"tasks": [{"command": "posinv", "ordering": False}]},
+            {"forms": {"u": json.loads(UNIT_FORM_2)},
+             "tasks": [{"command": "diag", "form": "u", "strategy": "last"}]},
+            {"forms": {"u": json.loads(UNIT_FORM_2)},
+             "tasks": [{"command": "sign", "form": "u", "orderng": "P1"}]},
         ],
     )
     def test_malformed_file_is_a_one_line_error(self, capsys, malformed):
@@ -453,6 +469,14 @@ class TestProblemFiles:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+class TestSelftest:
+    def test_small_scale_passes_every_criterion(self, capsys):
+        assert main(["selftest", "--scale", "0.01", "--json"]) == 0
+        criteria = json.loads(capsys.readouterr().out)["criteria"]
+        assert [c["criterion"] for c in criteria] == list(range(1, 11))
+        assert all(c["passed"] for c in criteria)
 
 
 class TestEntryPoints:

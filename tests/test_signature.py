@@ -6,10 +6,14 @@ from fractions import Fraction
 import pytest
 
 from poscones import (
+    AlgebraWithInvolution,
     DivisionAlgebraDesc,
     FieldDesc,
     classify,
     direct_sum,
+    full_reduction,
+    member,
+    positive_involution_at,
     orderings_of,
     MatD,
     NilOrdering,
@@ -35,7 +39,7 @@ from poscones import (
     PositiveCone,
 )
 from poscones.forms import diagonalize
-from poscones.sampling import rand_invertible_symmetric
+from poscones.sampling import rand_hermitian, rand_invertible_symmetric
 
 Q = FieldDesc()
 RT2 = FieldDesc(2)
@@ -147,9 +151,10 @@ class TestPreSylvester:
     def test_strategies_agree(self):
         alg = zoo_algebra("quat-q-2")
         h = diag_form(alg, [alg.identity(), -alg.identity()])
-        a = pre_sylvester(h, 0, "first")
-        b = pre_sylvester(h, 0, "last")
-        assert (a.r, a.s) == (b.r, b.s)
+        dec = pre_sylvester(h, 0)
+        last = diagonalize(full_reduction(h).gram, "last")
+        pos, neg, _ = last.sign_counts_at(0)
+        assert (dec.r, dec.s) == (alg.ell * pos, alg.ell * neg)
 
     def test_requires_standard_involution(self):
         alg = zoo_algebra("split-q-2-indef")
@@ -177,6 +182,14 @@ class TestSignCone:
         alg = zoo_algebra("split-q-1")
         h = diag_form(alg, [qmat([[1]]), qmat([[0]]), qmat([[1]])])
         assert sign_cone(h, PositiveCone(alg, 0, 1)) == 2
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_half_filled_block(self, eps):
+        # one nonzero reduced entry cannot fill an ell = 2 block of its own
+        alg = zoo_algebra("split-q-2")
+        h = rank_one(alg, qmat([[1, 0], [0, 0]]))
+        assert sign_eta(h, 0) == 1
+        assert sign_cone(h, PositiveCone(alg, 0, eps)) == eps
 
 
 class TestTraceForm:
@@ -281,3 +294,56 @@ class TestPositiveInvolution:
             for p in x_tilde(alg):
                 _, c = m_p(alg, p)
                 assert is_positive_involution(alg, c.inverse(), p), name
+
+
+# -- the flip construction as an oracle for the closed forms ------------------
+
+
+def flip_witness(alg, p):
+    """A maximal-signature element built without the closed form.
+
+    Diagonalize phi as theta_t(G) * phi * G = diag(e), make each e
+    positive at p, and pull back: c = phi * theta_t(G^-1) * |e| * G^-1,
+    so the reduction phi^-1 * c of <c> is congruent to <|e|>.
+    """
+    res = diagonalize(alg.phi)
+    flipped = MatD.diagonal(
+        alg.div, [alg.div.from_field(e * e.sign_at(p)) for e in res.entries]
+    )
+    g_inv = res.witness.inverse()
+    return alg.phi * g_inv.theta_t() * flipped * g_inv
+
+
+def dense_twists(name, count):
+    """Algebras over the zoo entry's M_2(D) with random dense twists."""
+    base = zoo_algebra(name)
+    rng = random.Random(f"dense-twist:{name}")
+    out = []
+    while len(out) < count:
+        phi = rand_hermitian(rng, base.div, base.ell)
+        if any(e.is_zero() for row in phi.entries for e in row):
+            continue
+        try:
+            out.append(AlgebraWithInvolution(base.ell, base.div, phi))
+        except Singular:
+            continue
+    return out
+
+
+class TestClosedFormsAgainstTheFlipOracle:
+    @pytest.mark.parametrize(
+        "name", [n for n in zoo_names() if zoo_algebra(n).ell == 2]
+    )
+    def test_dense_twists(self, name):
+        for alg in dense_twists(name, 3):
+            for p in x_tilde(alg):
+                n_p = classify(alg, p).n_p
+                c = flip_witness(alg, p)
+                value, phi = m_p(alg, p)
+                assert c != phi and phi == alg.phi
+                assert value == n_p == sign_eta(rank_one(alg, c), p)
+                cone = PositiveCone(alg, p, 1)
+                assert member(c, cone) and member(phi, cone)
+                b, twisted = positive_involution_at(alg, p)
+                assert is_positive_involution(alg, b, p)
+                assert twisted.phi == b * alg.phi
