@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -68,6 +67,10 @@ def _load_blob(raw: str) -> Any:
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
 
+
+# selftest sample counts grow linearly with --scale, so an unbounded scale
+# (1e300, say) would start a run that never ends
+MAX_SCALE = 10.0
 
 _EPS = {"1": 1, "+1": 1, "+": 1, "-1": -1, "-": -1}
 
@@ -387,8 +390,10 @@ def _cmd_zoo(args):
 
 
 def _cmd_selftest(args):
-    if not (math.isfinite(args.scale) and args.scale > 0):
-        raise ParseError(f"--scale must be finite and positive, got {args.scale}")
+    if not 0 < args.scale <= MAX_SCALE:  # also false for nan
+        raise ParseError(
+            f"--scale must be positive and at most {MAX_SCALE:g}, got {args.scale:g}"
+        )
     results = run_all(args.seed, args.scale)
     records = [
         {
@@ -449,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument(
         "--scale", type=float, default=1.0,
-        help="sample-count multiplier (1.0 = full suite)",
+        help=f"sample-count multiplier (1.0 = full suite, at most {MAX_SCALE:g})",
     )
 
     add("zoo", "list the built-in algebras", _cmd_zoo)

@@ -1,12 +1,16 @@
 """Exact arithmetic in Q and in real quadratic fields Q(sqrt(d)).
 
-An element is stored as a + b*sqrt(d) with rational coordinates.  Q has a
-single ordering; Q(sqrt(d)) has exactly two, given by the two real
-embeddings sqrt(d) -> +sqrt(d) and sqrt(d) -> -sqrt(d).  Orderings are
-addressed by the integers 0 and 1 in that order.
+An element a + b*sqrt(d) is stored as three Python ints (x, y, den) with
+value (x + y*sqrt(d))/den, den > 0 and gcd(x, y, den) == 1.  That form is
+canonical, so equality is a compare of the three ints, and each operation
+does its integer work and then divides out one gcd.  The rational
+coordinates a = x/den and b = y/den are read-only Fraction properties.
+Q has a single ordering; Q(sqrt(d)) has exactly two, given by the two
+real embeddings sqrt(d) -> +sqrt(d) and sqrt(d) -> -sqrt(d).  Orderings
+are addressed by the integers 0 and 1 in that order.
 
-Signs at an ordering are decided by exact integer comparison (a^2 against
-d*b^2), never by floating point, so every result is certified.
+Signs at an ordering are decided by exact integer comparison (x^2 against
+d*y^2), never by floating point, so every result is certified.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import DivisionByZero, ParseError
 
@@ -67,10 +72,10 @@ class FieldDesc:
         return self.d is not None
 
     def zero(self) -> "FieldElem":
-        return FieldElem(self, Fraction(0))
+        return _elem(self, 0, 0, 1)
 
     def one(self) -> "FieldElem":
-        return FieldElem(self, Fraction(1))
+        return _elem(self, 1, 0, 1)
 
     def elem(self, a, b=0) -> "FieldElem":
         """Build a + b*sqrt(d); b must be 0 over Q."""
@@ -80,7 +85,7 @@ class FieldDesc:
         """The generator sqrt(d) itself."""
         if self.d is None:
             raise ValueError("Q has no quadratic generator")
-        return FieldElem(self, Fraction(0), Fraction(1))
+        return _elem(self, 0, 1, 1)
 
     def __str__(self) -> str:
         return "Q" if self.d is None else f"Q(sqrt({self.d}))"
@@ -96,55 +101,68 @@ def _check_ordering(field: FieldDesc, p: int) -> None:
         raise ValueError(f"ordering {p!r} is not valid for {field}")
 
 
-def _sgn(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
-
-
-_FR0 = Fraction(0)
+def _sgn(n: int) -> int:
+    return (n > 0) - (n < 0)
 
 
 class FieldElem:
     """Element a + b*sqrt(d) of the base field, with exact rational a, b.
 
-    A small immutable value type (treat instances as read-only, like
-    Fraction itself); arithmetic returns new elements and stays inside
-    one field.
+    Stored as ints (x, y, den) with a = x/den and b = y/den, where den > 0
+    and gcd(x, y, den) == 1 (y == 0 over Q).  A small immutable value type
+    (treat instances as read-only, like Fraction itself); arithmetic
+    returns new elements and stays inside one field.
     """
 
-    __slots__ = ("field", "a", "b")
+    __slots__ = ("field", "x", "y", "den")
 
-    def __init__(self, field: FieldDesc, a, b=_FR0) -> None:
+    def __init__(self, field: FieldDesc, a, b=0) -> None:
         if type(a) is not Fraction:
             a = Fraction(a)
         if type(b) is not Fraction:
             b = Fraction(b)
         if field.d is None and b:
             raise ValueError("rational field element cannot have a sqrt part")
+        # over the lcm of two reduced denominators no prime divides x, y, den
+        ad, bd = a.denominator, b.denominator
+        den = ad // gcd(ad, bd) * bd
         self.field = field
-        self.a = a
-        self.b = b
+        self.x = a.numerator * (den // ad)
+        self.y = b.numerator * (den // bd)
+        self.den = den
+
+    @property
+    def a(self) -> Fraction:
+        """Rational coordinate of 1."""
+        return Fraction(self.x, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        """Rational coordinate of sqrt(d)."""
+        return Fraction(self.y, self.den)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        return not self.x and not self.y
 
     def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
+        return bool(self.x or self.y)
 
     def is_rational(self) -> bool:
-        return not self.b
+        return not self.y
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldElem)
+            and self.x == other.x
+            and self.y == other.y
+            and self.den == other.den
             and self.field == other.field
-            and self.a == other.a
-            and self.b == other.b
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.a, self.b))
+        return hash((self.field, self.x, self.y, self.den))
 
     def __repr__(self) -> str:
         return f"FieldElem({self.field}, {self.a!r}, {self.b!r})"
@@ -156,30 +174,42 @@ class FieldElem:
             if other.field is not self.field and other.field != self.field:
                 raise ValueError("field mismatch")
             return other
-        if isinstance(other, (int, Fraction)):
-            return _unsafe(self.field, Fraction(other), _FR0)
+        if isinstance(other, int):
+            return _elem(self.field, other, 0, 1)
+        if isinstance(other, Fraction):
+            return _elem(self.field, other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __add__(self, other) -> "FieldElem":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if not (o.a or o.b):
+        if not (o.x or o.y):
             return self
-        if not (self.a or self.b):
+        if not (self.x or self.y):
             return o
-        return _unsafe(self.field, self.a + o.a, self.b + o.b)
+        return _elem(
+            self.field,
+            self.x * o.den + o.x * self.den,
+            self.y * o.den + o.y * self.den,
+            self.den * o.den,
+        )
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElem":
-        return _unsafe(self.field, -self.a, -self.b)
+        return _elem(self.field, -self.x, -self.y, self.den)
 
     def __sub__(self, other) -> "FieldElem":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return _unsafe(self.field, self.a - o.a, self.b - o.b)
+        return _elem(
+            self.field,
+            self.x * o.den - o.x * self.den,
+            self.y * o.den - o.y * self.den,
+            self.den * o.den,
+        )
 
     def __rsub__(self, other) -> "FieldElem":
         return (-self) + other
@@ -188,40 +218,41 @@ class FieldElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if not (self.a or self.b) or not (o.a or o.b):
-            return _unsafe(self.field, _FR0, _FR0)
-        d = self.field.d
-        if d is None:
-            return _unsafe(self.field, self.a * o.a, _FR0)
+        sx, sy, ox, oy = self.x, self.y, o.x, o.y
+        if not (sx or sy) or not (ox or oy):
+            return _elem(self.field, 0, 0, 1)
         # rational factors need no cross terms
-        if not self.b:
-            return _unsafe(self.field, self.a * o.a, self.a * o.b)
-        if not o.b:
-            return _unsafe(self.field, self.a * o.a, self.b * o.a)
-        return _unsafe(
+        if not sy:
+            return _elem(self.field, sx * ox, sx * oy, self.den * o.den)
+        if not oy:
+            return _elem(self.field, sx * ox, sy * ox, self.den * o.den)
+        return _elem(
             self.field,
-            self.a * o.a + d * self.b * o.b,
-            self.a * o.b + self.b * o.a,
+            sx * ox + self.field.d * sy * oy,
+            sx * oy + sy * ox,
+            self.den * o.den,
         )
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "FieldElem":
         """Image under the nontrivial automorphism sqrt(d) -> -sqrt(d)."""
-        return _unsafe(self.field, self.a, -self.b)
+        return _elem(self.field, self.x, -self.y, self.den)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - d*b^2 down to Q (a^2 over Q itself)."""
-        if self.field.d is None:
-            return self.a * self.a
-        return self.a * self.a - self.field.d * self.b * self.b
+        # y == 0 over Q, where d is None
+        n = self.x * self.x - (self.field.d or 0) * self.y * self.y
+        return Fraction(n, self.den * self.den)
 
     def inverse(self) -> "FieldElem":
-        if self.is_zero():
+        if not (self.x or self.y):
             raise DivisionByZero("inverse of zero field element")
-        n = self.norm()
-        # n == 0 with self != 0 would force d to be a rational square
-        return _unsafe(self.field, self.a / n, -self.b / n)
+        # 1/((x + y*sqrt(d))/den) = den*(x - y*sqrt(d))/(x^2 - d*y^2); the
+        # norm x^2 - d*y^2 is nonzero for a nonzero element, d being no square
+        n = self.x * self.x - (self.field.d or 0) * self.y * self.y
+        den = self.den if n > 0 else -self.den
+        return _elem(self.field, den * self.x, -den * self.y, abs(n))
 
     def __truediv__(self, other) -> "FieldElem":
         o = self._coerce(other)
@@ -249,37 +280,44 @@ class FieldElem:
     def sign_at(self, p: int) -> int:
         """Sign (-1, 0, +1) of the element at ordering p, decided exactly."""
         _check_ordering(self.field, p)
-        a = self.a
-        b = self.b if p == 0 else -self.b
-        if b == 0:
-            return _sgn(a)
-        if a == 0:
-            return _sgn(b)
-        sa, sb = _sgn(a), _sgn(b)
-        if sa == sb:
-            return sa
-        # opposite signs: |a| against |b|*sqrt(d), compared via squares
-        lhs = a * a
-        rhs = self.field.d * b * b
+        # den > 0, so the sign is that of x + y*sqrt(d) at p
+        x = self.x
+        y = self.y if p == 0 else -self.y
+        if not y:
+            return _sgn(x)
+        if not x:
+            return _sgn(y)
+        sx, sy = _sgn(x), _sgn(y)
+        if sx == sy:
+            return sx
+        # opposite signs: |x| against |y|*sqrt(d), compared via squares
+        lhs = x * x
+        rhs = self.field.d * y * y
         if lhs == rhs:
             # would make d a rational square, excluded by FieldDesc
             raise ValueError("field descriptor is not a real quadratic field")
-        return sa if lhs > rhs else sb
+        return sx if lhs > rhs else sy
 
     def __str__(self) -> str:
         return format_elem(self)
 
 
-def _unsafe(field: FieldDesc, a: Fraction, b: Fraction) -> FieldElem:
-    """Internal constructor for arithmetic results; skips validation.
+def _elem(field: FieldDesc, x: int, y: int, den: int) -> FieldElem:
+    """Internal constructor for arithmetic results, given den > 0.
 
-    Callers guarantee a, b are Fractions and b == 0 over Q (arithmetic
-    preserves both).
+    Divides out gcd(x, y, den) so the triple is canonical; arithmetic keeps
+    y == 0 over Q, so no other validation is needed.
     """
+    g = gcd(x, y, den)
+    if g != 1:
+        x //= g
+        y //= g
+        den //= g
     e = object.__new__(FieldElem)
     e.field = field
-    e.a = a
-    e.b = b
+    e.x = x
+    e.y = y
+    e.den = den
     return e
 
 

@@ -1,6 +1,8 @@
 """Exact base-field arithmetic, orderings, and the textual element format."""
 
+import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
@@ -191,3 +193,120 @@ class TestTextFormat:
     def test_elem_repr_uses_field(self):
         assert isinstance(repr(RT2.elem(1, 1)), str)
         assert str(FieldElem(RT2, Fraction(1), Fraction(1))) == "1+sqrt(2)"
+
+
+class TestKernelOracle:
+    """The int-triple kernel against a reference on Fraction pairs (a, b).
+
+    The reference computes with a + b*sqrt(d) directly, and decides signs by
+    bracketing sqrt(d*B^2) between consecutive integers, so it shares no
+    code with the kernel.
+    """
+
+    FIELDS = (Q, RT2, RT5, FieldDesc(9973))
+    PER_FIELD = 750
+
+    @staticmethod
+    def rand_rat(rng: random.Random) -> Fraction:
+        kind = rng.randrange(5)
+        if kind == 0:
+            return Fraction(0)
+        if kind == 1:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        if kind == 2:
+            return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+        # 30 to 45 digit numerators and denominators
+        big = 10 ** rng.randint(30, 45)
+        return Fraction(rng.randint(-big, big), rng.randint(big // 10, big))
+
+    @classmethod
+    def rand_pair(cls, rng: random.Random, d) -> tuple[Fraction, Fraction]:
+        a = cls.rand_rat(rng)
+        if d is None:
+            return a, Fraction(0)
+        b = cls.rand_rat(rng)
+        if b and rng.randrange(4) == 0:
+            # a next to -b*sqrt(d): the hardest signs to decide
+            num, den = b.numerator, b.denominator
+            r = isqrt(d * num * num) + rng.choice((0, 1))
+            a = Fraction(-r if num > 0 else r, den)
+        return a, b
+
+    @staticmethod
+    def ref_sign(d, a: Fraction, b: Fraction, p: int) -> int:
+        if p == 1:
+            b = -b
+        big_a, big_b = a.numerator * b.denominator, b.numerator * a.denominator
+        if not big_b:
+            return (big_a > 0) - (big_a < 0)
+        # sqrt(d*B^2) lies strictly between r and r + 1 (d is no square)
+        r = isqrt(d * big_b * big_b)
+        if big_b > 0:
+            return 1 if big_a + r >= 0 else -1
+        return -1 if big_a - r <= 0 else 1
+
+    @staticmethod
+    def ref_format(d, a: Fraction, b: Fraction) -> str:
+        if not b:
+            return str(a)
+        tail = f"{'' if abs(b) == 1 else f'{abs(b)}*'}sqrt({d})"
+        if not a:
+            return tail if b > 0 else f"-{tail}"
+        return f"{a}{'+' if b > 0 else '-'}{tail}"
+
+    @staticmethod
+    def ref_mul(d, u, v):
+        d = d or 0
+        return (u[0] * v[0] + d * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+    @staticmethod
+    def ref_inverse(d, u):
+        n = u[0] * u[0] - (d or 0) * u[1] * u[1]
+        return (u[0] / n, -u[1] / n)
+
+    @staticmethod
+    def assert_canonical(e, ref):
+        assert e.den > 0
+        assert gcd(e.x, e.y, e.den) == 1
+        if e.field.d is None:
+            assert e.y == 0
+        assert (e.a, e.b) == ref
+        assert type(e.a) is Fraction and type(e.b) is Fraction
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_against_fraction_pairs(self, field):
+        rng = random.Random(f"field-oracle:{field}")
+        d = field.d
+        refs = [self.rand_pair(rng, d) for _ in range(self.PER_FIELD)]
+        # repeat some coordinates so that equal elements and shared
+        # denominators both occur
+        refs += [(b, a) if d else (a, b) for a, b in refs[:50]] + refs[:50]
+        elems = [FieldElem(field, a, b) for a, b in refs]
+        for e, ref in zip(elems, refs):
+            self.assert_canonical(e, ref)
+            self.assert_canonical(e.conjugate(), (ref[0], -ref[1]))
+            assert e.norm() == ref[0] * ref[0] - (d or 0) * ref[1] * ref[1]
+            for p in orderings(field):
+                assert e.sign_at(p) == self.ref_sign(d, *ref, p)
+            assert str(e) == self.ref_format(d, *ref)
+            assert parse_elem(field, str(e)) == e
+        for x, y in zip(elems[:50], elems[-50:]):
+            assert x == y and hash(x) == hash(y)
+        order = list(range(len(elems)))
+        rng.shuffle(order)
+        for i, j in zip(range(len(elems)), order):
+            x, y, u, v = elems[i], elems[j], refs[i], refs[j]
+            self.assert_canonical(x + y, (u[0] + v[0], u[1] + v[1]))
+            self.assert_canonical(x - y, (u[0] - v[0], u[1] - v[1]))
+            self.assert_canonical(-x, (-u[0], -u[1]))
+            self.assert_canonical(x * y, self.ref_mul(d, u, v))
+            self.assert_canonical(x * v[0], (u[0] * v[0], u[1] * v[0]))
+            if any(v):
+                inv = self.ref_inverse(d, v)
+                self.assert_canonical(y.inverse(), inv)
+                self.assert_canonical(x / y, self.ref_mul(d, u, inv))
+            assert (x == y) == (u == v)
+            if u == v:
+                assert hash(x) == hash(y)
+            same = (x + y) - y
+            assert same == x and hash(same) == hash(x)

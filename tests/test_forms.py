@@ -11,6 +11,7 @@ from poscones import (
     DimensionMismatch,
     DivisionAlgebraDesc,
     FieldDesc,
+    FieldElem,
     HermitianForm,
     InternalInvariantViolation,
     MatD,
@@ -23,6 +24,7 @@ from poscones import (
     direct_sum,
     morita_diag_rep,
     nonsingular_part,
+    parse_elem,
     rank_one,
     scale_form,
     sign_eta,
@@ -127,6 +129,56 @@ class TestDiagonalize:
         assert res.rank == 2
         assert res.sign_counts_at(0) == (1, 1, 0)
         check_witness(h, res)
+
+
+class TestKernelFault:
+    """A wrong product in the field kernel never yields a wrong certificate."""
+
+    RT2 = FieldDesc(2)
+
+    def hermitian(self):
+        f = self.RT2
+        alg = DivisionAlgebraDesc(f, "split")
+        rows = [["1", "2+sqrt(2)", "-1/3"], ["2+sqrt(2)", "0", "sqrt(2)"],
+                ["-1/3", "sqrt(2)", "5/7-sqrt(2)"]]
+        return MatD(alg, [[alg.from_field(parse_elem(f, x)) for x in r] for r in rows])
+
+    @staticmethod
+    def corrupt(monkeypatch, target: int) -> list:
+        # the target-th product with a nonzero value comes back off by one;
+        # returns the running count of nonzero products
+        mul = FieldElem.__mul__
+        seen = [0]
+
+        def faulty(x, y):
+            out = mul(x, y)
+            if out:
+                seen[0] += 1
+                if seen[0] == target:
+                    return out + 1
+            return out
+
+        monkeypatch.setattr(FieldElem, "__mul__", faulty)
+        return seen
+
+    def test_no_wrong_product_yields_a_wrong_witness(self, monkeypatch):
+        h = self.hermitian()
+        with monkeypatch.context() as m:
+            seen = self.corrupt(m, 0)
+            diagonalize(h)
+        caught = []
+        for target in range(1, seen[0] + 1):
+            with monkeypatch.context() as m:
+                self.corrupt(m, target)
+                try:
+                    res = diagonalize(h)
+                except InternalInvariantViolation:
+                    caught.append(target)
+                    continue
+            # returned despite the fault: the certificate must still hold
+            check_witness(h, res)
+        # the very first product already feeds the reported witness
+        assert caught[:1] == [1]
 
 
 class TestHermitianForm:

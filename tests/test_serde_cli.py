@@ -355,7 +355,7 @@ class TestCliErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
-    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1", "1e300", "10.5"])
     def test_selftest_scale_is_finite_and_positive(self, capsys, scale):
         assert main(["selftest", f"--scale={scale}"]) == 2
         out, err = capsys.readouterr()
