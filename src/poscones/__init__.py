@@ -26,7 +26,6 @@ from .cones import (
     gen_cone_sample,
     harrison_sigma,
     is_maximal_on,
-    max_q_agreement,
     member,
     positive_involution_at,
     properness_check,
@@ -94,7 +93,6 @@ from .orders import (
 )
 from .signature import (
     SylvesterDecomposition,
-    eta_maximal,
     in_m_p,
     is_positive_involution,
     m_p,
@@ -144,7 +142,6 @@ __all__ = [
     "diagonalize",
     "direct_sum",
     "enumerate_cones",
-    "eta_maximal",
     "expand",
     "formally_real",
     "format_elem",
@@ -157,7 +154,6 @@ __all__ = [
     "is_positive_involution",
     "is_totally_positive",
     "m_p",
-    "max_q_agreement",
     "member",
     "morita_diag_rep",
     "nonsingular_part",

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Inputs are JSON descriptors (inline or in files); outputs are JSON
-records (--json) or aligned text (default).  All values are exact
-rational strings; no floats cross the I/O surface.  Exit codes: 0 for
-success / a true boolean result, 1 for a false boolean result, 2 for
-errors of any kind.
+records (--json) or aligned text (default).  All computed values are
+exact rational strings; the one float is selftest's wall time.  Exit
+codes: 0 for success / a true boolean result, 1 for a false boolean
+result, 2 for errors of any kind.
 
 Every task command has one body in the command table.  `poscones run`
 executes the tasks of a problem file; each other task subcommand turns
@@ -401,15 +401,17 @@ def _cmd_selftest(args):
             "name": r.name,
             "passed": r.passed,
             "detail": r.detail,
+            "seconds": round(seconds, 3),
         }
-        for r in results
+        for r, seconds in results
     ]
     lines = [f"zoo: {', '.join(zoo_names())}"]
     lines += [
         f"criterion {r.number:2d}  {'PASS' if r.passed else 'FAIL'}  {r.name}"
-        for r in results
+        f"  ({seconds:.1f}s)"
+        for r, seconds in results
     ]
-    code = 0 if all(r.passed for r in results) else 1
+    code = 0 if all(r.passed for r, _ in results) else 1
     return code, {"zoo": list(zoo_names()), "criteria": records}, lines
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "formally_real",
     "harrison_sigma",
     "is_maximal_on",
-    "max_q_agreement",
 ]
 
 
@@ -249,49 +248,14 @@ def harrison_sigma(
     return tuple(k for k in cones if all(r.in_cone_at(k.ordering, k.eps) for r in rs))
 
 
-def _in_x_tilde(alg, orderings: Iterable[int]) -> tuple[int, ...]:
-    """The listed orderings, each checked to be non-nil."""
-    ys, good = tuple(orderings), x_tilde(alg)
-    for p in ys:
-        if p not in good:
-            raise OrderingNotInXTilde(f"ordering {p} is nil or invalid")
-    return ys
-
-
 def is_maximal_on(
     alg: AlgebraWithInvolution, u: MatD, orderings_subset: Iterable[int]
 ) -> bool:
-    """True when u attains the maximal signature at every listed ordering."""
-    ys = _in_x_tilde(alg, orderings_subset)
+    """True when u attains the maximal signature at every listed ordering;
+    each one must be non-nil (else OrderingNotInXTilde)."""
+    ys, good = tuple(orderings_subset), x_tilde(alg)
+    for p in ys:
+        if p not in good:
+            raise OrderingNotInXTilde(f"ordering {p} is nil or invalid")
     res = reduced_diagonal(rank_one(alg, u))
     return all(res.in_cone_at(p) for p in ys)
-
-
-def max_q_agreement(
-    alg: AlgebraWithInvolution,
-    u: MatD,
-    orderings_subset: Iterable[int],
-    reference: MatD | None = None,
-) -> bool:
-    """Check the cone characterization of maximality on a set of orderings.
-
-    For a reference element known to be maximal on the set (phi by
-    default), compares "u lies in exactly the cones containing the
-    reference" with is_maximal_on(u, ...); returns True when the two
-    criteria agree.  u must be nonzero: the zero element lies in every
-    cone, so the left-hand criterion is degenerate for it.
-    """
-    ys = _in_x_tilde(alg, orderings_subset)
-    if u.is_zero():
-        raise ValueError("reference comparison requires a nonzero element")
-    if reference is None:
-        reference = alg.phi
-    ref = reduced_diagonal(rank_one(alg, reference))
-    if not all(ref.in_cone_at(p) for p in ys):
-        raise ValueError("reference element is not maximal on the set")
-    res = reduced_diagonal(rank_one(alg, u))
-    lhs = all(
-        res.in_cone_at(p, eps) == ref.in_cone_at(p, eps) for p in ys for eps in (1, -1)
-    )
-    rhs = all(res.in_cone_at(p) for p in ys)
-    return lhs == rhs

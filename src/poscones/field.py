@@ -374,13 +374,14 @@ def parse_elem(field: FieldDesc, text: str) -> FieldElem:
 
 def format_elem(x: FieldElem) -> str:
     """Canonical textual form; parse_elem(field, format_elem(x)) == x."""
-    if x.b == 0:
+    if not x.y:
         return str(x.a)
-    d = x.field.d
-    mag = -x.b if x.b < 0 else x.b
+    # each read of .a or .b builds a Fraction, so read them once
+    a, b = x.a, x.b
+    mag = abs(b)
     coef = "" if mag == 1 else f"{mag}*"
-    tail = f"{coef}sqrt({d})"
-    if x.a == 0:
-        return tail if x.b > 0 else f"-{tail}"
-    link = "+" if x.b > 0 else "-"
-    return f"{x.a}{link}{tail}"
+    tail = f"{coef}sqrt({x.field.d})"
+    if a == 0:
+        return tail if b > 0 else f"-{tail}"
+    link = "+" if b > 0 else "-"
+    return f"{a}{link}{tail}"

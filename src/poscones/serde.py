@@ -51,6 +51,17 @@ def parse_ordering(raw: Any) -> int:
     raise ParseError(f"cannot parse ordering {raw!r}")
 
 
+def _integer(raw: Any, what: str) -> int:
+    """int(raw) for an int or an integer string; a bool or a float, which
+    int() would silently truncate, is a ParseError like any other bad value."""
+    if isinstance(raw, (bool, float)):
+        raise ParseError(f"{what}: {raw!r} is not an integer")
+    try:
+        return int(raw)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+
+
 def field_to_json(field: FieldDesc) -> dict:
     if field.d is None:
         return {"kind": "rationals"}
@@ -64,10 +75,11 @@ def field_from_json(data: Any) -> FieldDesc:
     if kind == "rationals":
         return FieldDesc()
     if kind == "real_quadratic":
+        what = "bad real quadratic field"
         try:
-            return FieldDesc(int(data["d"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad real quadratic field: {exc}") from exc
+            return FieldDesc(_integer(data["d"], what))
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f"{what}: {exc}") from exc
     raise ParseError(f"unknown field kind {kind!r}")
 
 
@@ -154,10 +166,9 @@ def algebra_from_json(data: Any, field: FieldDesc | None = None) -> AlgebraWithI
     if field is None:
         raise ParseError("algebra descriptor needs a field")
     div = _div_from_json(field, data.get("div"))
-    try:
-        ell = int(data["ell"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad ell: {exc}") from exc
+    if "ell" not in data:
+        raise ParseError("bad ell: 'ell'")
+    ell = _integer(data["ell"], "bad ell")
     phi = matd_from_json(div, data.get("phi"))
     try:
         return AlgebraWithInvolution(ell, div, phi)
@@ -178,10 +189,7 @@ def form_to_json(h: HermitianForm) -> dict:
 def form_from_json(alg: AlgebraWithInvolution, data: Any) -> HermitianForm:
     if not isinstance(data, dict) or "rank" not in data or "gram" not in data:
         raise ParseError("form descriptor needs rank and gram")
-    try:
-        rank = int(data["rank"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad rank: {exc}") from exc
+    rank = _integer(data["rank"], "bad rank")
     grid = data["gram"]
     if not isinstance(grid, list) or len(grid) != rank:
         raise ParseError("gram grid does not match rank")

@@ -1,6 +1,7 @@
 """Positive cones: membership, transfer, sampling, and maximality."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -19,16 +20,17 @@ from poscones import (
     gen_cone_sample,
     harrison_sigma,
     is_maximal_on,
-    max_q_agreement,
     member,
     positive_involution_at,
     properness_check,
     psd_up,
     scale_cone,
     trace_down,
+    x_tilde,
     zoo_algebra,
     zoo_names,
 )
+from poscones.acceptance import _charpoly, _negative_roots, _transfer_gram
 
 Q = FieldDesc()
 SPLIT = DivisionAlgebraDesc(Q, "split")
@@ -213,21 +215,33 @@ class TestMaximality:
         alg = zoo_algebra("quad-rt2-1")
         with pytest.raises(OrderingNotInXTilde):
             is_maximal_on(alg, alg.identity(), (1,))
-        with pytest.raises(OrderingNotInXTilde):
-            max_q_agreement(alg, alg.identity(), (1,))
 
     def test_agreement_on_fixed_elements(self):
-        alg = zoo_algebra("split-q-2")
-        for u in (
-            alg.identity(),
-            -alg.identity(),
-            qmat([[1, 0], [0, -1]]),
-            qmat([[2, 1], [1, 1]]),
-            qmat([[1, 0], [0, 0]]),
-        ):
-            assert max_q_agreement(alg, u, (0,))
+        # is_maximal_on against criterion 9's oracle: the negative
+        # eigenvalues of the Scharlau transfer, by characteristic polynomial
+        quat, indef = zoo_algebra("quat-q-2"), zoo_algebra("split-q-2-indef")
+        cases = [
+            (zoo_algebra("split-q-2"), qmat([[1, 0], [0, 0]]), True),
+            (zoo_algebra("split-q-2"), qmat([[1, 0], [0, -1]]), False),
+            (quat, quat.identity(), True),
+            (quat, -quat.identity(), False),
+            (indef, indef.phi, True),
+            (indef, -indef.phi, False),
+        ]
+        for alg, u, maximal in cases:
+            ys = x_tilde(alg)
+            poly = _charpoly(_transfer_gram(alg, u), alg.field)
+            oracle = all(_negative_roots(poly, p) == 0 for p in ys)
+            assert oracle == is_maximal_on(alg, u, ys) == maximal
 
-    def test_zero_element_rejected(self):
-        alg = zoo_algebra("split-q-2")
-        with pytest.raises(ValueError):
-            max_q_agreement(alg, MatD.zeros(SPLIT, 2, 2), (0,))
+    def test_transfer_charpoly_by_hand(self):
+        split = zoo_algebra("split-q-2")
+        # diag(1, -1): S = diag(1, -1), det(x - S) = x^2 - 1
+        poly = _charpoly(_transfer_gram(split, qmat([[1, 0], [0, -1]])), Q)
+        assert poly == [Q.elem(1), Q.elem(0), Q.elem(-1)]
+        assert _negative_roots(poly, 0) == 1
+        # -1 over quat-q-2: S = -I_8, det(x - S) = (x + 1)^8
+        quat = zoo_algebra("quat-q-2")
+        poly = _charpoly(_transfer_gram(quat, -quat.identity()), Q)
+        assert poly == [Q.elem(comb(8, k)) for k in range(9)]
+        assert _negative_roots(poly, 0) == 8

@@ -12,12 +12,11 @@ from poscones import (
     MatD,
     NotSymmetric,
     PositiveCone,
-    eta_maximal,
     harrison_sigma,
     in_m_p,
     is_maximal_on,
-    max_q_agreement,
     member,
+    pre_sylvester,
     rank_one,
     reduced_diagonal,
     x_tilde,
@@ -33,7 +32,7 @@ def qmat(rows):
 
 PREDICATES = {
     "member": lambda alg, u, p: member(u, PositiveCone(alg, p, 1)),
-    "eta_maximal": lambda alg, u, p: eta_maximal(alg, u, p),
+    "member_minus": lambda alg, u, p: member(u, PositiveCone(alg, p, -1)),
     "in_m_p": lambda alg, u, p: in_m_p(alg, u, p),
     "is_maximal_on": lambda alg, u, p: is_maximal_on(alg, u, (p,)),
     "harrison_sigma": lambda alg, u, p: harrison_sigma(alg, [u]),
@@ -100,4 +99,5 @@ def test_one_diagonalization_per_element(monkeypatch):
 
     assert count(harrison_sigma, alg, [u]) == 1
     assert count(is_maximal_on, alg, u, ys) == 1
-    assert count(max_q_agreement, alg, u, ys) == 2
+    # the decomposition is read from the one verified reduced diagonal
+    assert count(pre_sylvester, rank_one(alg, u), ys[0]) == 1

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -41,6 +42,8 @@ PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 UNIT_FORM_2 = '{"rank":1,"gram":[[[[["1"],["0"]],[["0"],["1"]]]]]}'
 INDEF_ELEMENT = '[[["1"],["0"]],[["0"],["-1"]]]'
 IDENT_ELEMENT = '[[["1"],["0"]],[["0"],["1"]]]'
+SPLIT_Q_1 = {"field": {"kind": "rationals"}, "div": {"kind": "split"},
+             "ell": 1, "phi": [[["1"]]]}
 TASK_COMMANDS = {
     "classify", "sign", "diag", "collapse", "cones", "member", "posinv",
     "hsigma", "presylvester", "maximal-on", "weakrep",
@@ -461,10 +464,18 @@ class TestProblemFiles:
              "tasks": [{"command": "diag", "form": "u", "strategy": "last"}]},
             {"forms": {"u": json.loads(UNIT_FORM_2)},
              "tasks": [{"command": "sign", "form": "u", "orderng": "P1"}]},
+            # integer fields: int() would truncate a float or a bool
+            {"field": {"kind": "real_quadratic", "d": 2.5}},
+            {"algebra": {**SPLIT_Q_1, "ell": 1.9}},
+            {"algebra": {**SPLIT_Q_1, "ell": True}},
+            {"forms": {"u": {**json.loads(UNIT_FORM_2), "rank": 1.5}}},
+            {"forms": {"u": {**json.loads(UNIT_FORM_2), "rank": True}}},
         ],
     )
     def test_malformed_file_is_a_one_line_error(self, capsys, malformed):
         problem = {"schema": "1", "zoo": "split-q-2", "tasks": [], **malformed}
+        if "algebra" in malformed:
+            del problem["zoo"]
         assert main(["run", json.dumps(problem)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -477,6 +488,14 @@ class TestSelftest:
         criteria = json.loads(capsys.readouterr().out)["criteria"]
         assert [c["criterion"] for c in criteria] == list(range(1, 11))
         assert all(c["passed"] for c in criteria)
+        assert all(c["seconds"] >= 0 for c in criteria)
+
+    def test_text_lines_carry_the_wall_time(self, capsys):
+        assert main(["selftest", "--scale", "0.01"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == 10
+        assert all(re.fullmatch(r"criterion +\d+  PASS  .+  \(\d+\.\ds\)", x)
+                   for x in lines)
 
 
 class TestEntryPoints:

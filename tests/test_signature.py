@@ -20,7 +20,6 @@ from poscones import (
     QuadraticFormF,
     Singular,
     diag_form,
-    eta_maximal,
     in_m_p,
     is_positive_involution,
     m_p,
@@ -117,13 +116,14 @@ class TestMaximalWitness:
         assert in_m_p(alg, MatD.zeros(SPLIT, 2, 2), 0)
         assert not in_m_p(alg, qmat([[1, 0], [0, 0]]), 0)
 
-    def test_eta_maximal_uses_the_positive_convention(self):
+    def test_positive_cone_uses_the_positive_convention(self):
         alg = zoo_algebra("split-q-2")
-        assert eta_maximal(alg, alg.identity(), 0)
-        assert not eta_maximal(alg, -alg.identity(), 0)
-        assert not eta_maximal(alg, qmat([[1, 0], [0, -1]]), 0)
+        plus = PositiveCone(alg, 0, 1)
+        assert member(alg.identity(), plus)
+        assert not member(-alg.identity(), plus)
+        assert not member(qmat([[1, 0], [0, -1]]), plus)
         # singular elements qualify through their nonsingular part
-        assert eta_maximal(alg, qmat([[1, 0], [0, 0]]), 0)
+        assert member(qmat([[1, 0], [0, 0]]), plus)
 
 
 class TestPreSylvester:
