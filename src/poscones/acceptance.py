@@ -547,6 +547,9 @@ def criterion_9(seed: int, scale: float = 1.0) -> CriterionResult:
             u = rand_symmetric(rng, alg)
             if not u.is_zero():
                 us.append(u)
+        # phi^-1 u = theta_t(r) r is maximal at every non-nil P
+        r = rand_matd(rng, alg.div, alg.ell, alg.ell)
+        us.append(alg.phi * r.theta_t() * r)
         for u in us:
             poly = _charpoly(_transfer_gram(alg, u), alg.field)
             for ys in subsets:
@@ -614,10 +617,19 @@ CRITERIA: tuple[Callable[[int, float], CriterionResult], ...] = (
 
 
 def run_all(seed: int = 0, scale: float = 1.0) -> list[tuple[CriterionResult, float]]:
-    """Every criterion in order, each with its wall time in seconds."""
+    """Every criterion in order, each with its wall time in seconds; one
+    that raises is a FAIL naming the exception, and the rest still run."""
     out = []
-    for fn in CRITERIA:
+    for number, fn in enumerate(CRITERIA, 1):
         start = time.perf_counter()
-        result = fn(seed, scale)
+        try:
+            result = fn(seed, scale)
+        except Exception as exc:
+            tb = exc.__traceback__
+            while tb.tb_next:
+                tb = tb.tb_next
+            where = f"in {tb.tb_frame.f_code.co_name}, line {tb.tb_lineno}"
+            detail = f"raised {type(exc).__name__}: {exc} ({where})"
+            result = CriterionResult(number, fn.__name__, False, detail)
         out.append((result, time.perf_counter() - start))
     return out

@@ -572,18 +572,23 @@ class AlgebraWithInvolution:
             raise DimensionMismatch("element has wrong size for the algebra")
         return self.phi * x.theta_t() * self.phi_inv
 
-    def is_symmetric(self, x: MatD) -> bool:
-        """True when sigma(x) == x.
+    def reduce(self, x: MatD) -> MatD:
+        """phi^-1 applied to each ell-row block of x; x itself when phi = 1.
 
-        When phi is the identity, sigma is theta_t and the test is
-        theta_t(x) == x, with no matrix products.
+        This is the hermitian Morita reduction to (D, theta) (Knus,
+        Merkurjev, Rost, Tignol, The Book of Involutions, section 4): an
+        element is sigma-symmetric, and a Gram sigma-hermitian, exactly
+        when its reduction is theta_t-hermitian.
         """
         if self.has_standard_involution:
-            if x.cols != self.ell:
-                raise DimensionMismatch("matrix product shape mismatch")
-            return x.theta_t() == x
-        # sigma(x) == x  iff  phi * theta_t(x) == x * phi
-        return self.phi * x.theta_t() == x * self.phi
+            return x
+        return kron_identity_left(x.rows // self.ell, self.phi_inv) * x
+
+    def is_symmetric(self, x: MatD) -> bool:
+        """True when sigma(x) == x, read from the reduction of x."""
+        if x.cols != self.ell:
+            raise DimensionMismatch("matrix product shape mismatch")
+        return x.rows == self.ell and self.reduce(x).is_theta_hermitian()
 
     def __str__(self) -> str:
         inv = "theta_t" if self.has_standard_involution else f"ad({self.phi})"

@@ -111,13 +111,9 @@ def scale_cone(a: MatD, cone: PositiveCone) -> PositiveCone:
     alg = cone.alg
     if not alg.is_symmetric(a):
         raise NotSymmetric("scaling element is not sigma-symmetric")
-    scalar_diag = [a[i, i] for i in range(alg.ell)]
-    if (
-        all(e.is_scalar() for e in scalar_diag)
-        and len({e for e in scalar_diag}) == 1
-        and a == MatD.scalar(alg.div, scalar_diag[0], alg.ell)
-    ):
-        lam = scalar_diag[0].scalar()
+    lam = a[0, 0]
+    if lam.is_scalar() and a == MatD.scalar(alg.div, lam, alg.ell):
+        lam = lam.scalar()
         if lam.is_zero():
             raise Singular("matrix is not invertible")
         return PositiveCone(

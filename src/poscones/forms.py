@@ -71,7 +71,7 @@ class QuadraticFormF:
 class HermitianForm:
     """Hermitian form over an algebra with involution, by Gram matrix."""
 
-    __slots__ = ("alg", "rank", "gram")
+    __slots__ = ("alg", "rank", "gram", "_reduced")
 
     def __init__(
         self,
@@ -85,14 +85,23 @@ class HermitianForm:
             raise ValueError("gram entries live in the wrong algebra")
         if gram.rows != n or gram.cols != n:
             raise DimensionMismatch("gram must be (rank*ell) x (rank*ell)")
-        if not _checked and not _is_sigma_hermitian(alg, rank, gram):
-            raise NotHermitian("gram is not sigma-hermitian")
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "_reduced", None)
+        if not _checked and not self.reduced.is_theta_hermitian():
+            raise NotHermitian("gram is not sigma-hermitian")
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianForm is immutable")
+
+    @property
+    def reduced(self) -> MatD:
+        """Gram of the reduction to (D, theta), computed at most once; it is
+        theta_t-hermitian exactly when the form is sigma-hermitian."""
+        if self._reduced is None:
+            object.__setattr__(self, "_reduced", self.alg.reduce(self.gram))
+        return self._reduced
 
     def block(self, i: int, j: int) -> MatD:
         ell = self.alg.ell
@@ -109,9 +118,7 @@ class HermitianForm:
             raise DimensionMismatch("vector has wrong shape")
         if y.rows != n or y.cols != self.alg.ell:
             raise DimensionMismatch("vector has wrong shape")
-        phi, phi_inv = self.alg.phi, self.alg.phi_inv
-        scaled = kron_identity_left(self.rank, phi_inv) * self.gram
-        return phi * (x.theta_t() * scaled * y)
+        return self.alg.phi * (x.theta_t() * self.reduced * y)
 
     def __eq__(self, other) -> bool:
         return (
@@ -128,17 +135,6 @@ class HermitianForm:
         return f"herm(rank {self.rank} over {self.alg})"
 
     __repr__ = __str__
-
-
-def _is_sigma_hermitian(alg: AlgebraWithInvolution, rank: int, gram: MatD) -> bool:
-    ell = alg.ell
-    for i in range(rank):
-        for j in range(i, rank):
-            bij = gram.submatrix(i * ell, j * ell, ell, ell)
-            bji = gram.submatrix(j * ell, i * ell, ell, ell)
-            if bji != alg.sigma(bij):
-                return False
-    return True
 
 
 # -- diagonalization ---------------------------------------------------------
@@ -284,12 +280,11 @@ def diag_form(alg: AlgebraWithInvolution, elems: Sequence[MatD]) -> HermitianFor
     for a in elems:
         if a.rows != alg.ell or a.cols != alg.ell:
             raise DimensionMismatch("coefficient has wrong size")
-        if not alg.is_symmetric(a):
-            raise NotSymmetric("diagonal coefficient is not sigma-symmetric")
-    if not elems:
-        return HermitianForm(alg, 0, MatD.zeros(alg.div, 0, 0), _checked=True)
-    gram = MatD.block_diag(list(elems))
-    return HermitianForm(alg, len(elems), gram, _checked=True)
+    gram = MatD.block_diag(list(elems)) if elems else MatD.zeros(alg.div, 0, 0)
+    h = HermitianForm(alg, len(elems), gram, _checked=True)
+    if not h.reduced.is_theta_hermitian():
+        raise NotSymmetric("diagonal coefficient is not sigma-symmetric")
+    return h
 
 
 def rank_one(alg: AlgebraWithInvolution, a: MatD) -> HermitianForm:
@@ -347,7 +342,7 @@ def scale_form(c: MatD, h: HermitianForm) -> HermitianForm:
         new_alg = AlgebraWithInvolution(alg.ell, alg.div, c * alg.phi)
     except Singular:
         raise Singular("scaling element is not invertible") from None
-    gram = kron_identity_left(h.rank, c) * h.gram if h.rank else h.gram
+    gram = kron_identity_left(h.rank, c) * h.gram
     return HermitianForm(new_alg, h.rank, gram, _checked=True)
 
 
@@ -475,13 +470,12 @@ def weakly_represents(h: HermitianForm, u: MatD) -> WeakRepResult:
     from .morita import reduced_diagonal
 
     alg, ell = h.alg, h.alg.ell
-    if not alg.is_symmetric(u):
-        raise NotSymmetric("target element is not sigma-symmetric")
+    target = rank_one(alg, u)  # validates u before the zero shortcut
     if u.is_zero():
         return WeakRepResult("yes", 1, MatD.zeros(alg.div, h.rank * ell, ell))
 
     res = reduced_diagonal(h)
-    tres = reduced_diagonal(rank_one(alg, u))
+    tres = reduced_diagonal(target)
     norm = [(b.theta() * b).scalar() for b in alg.div.basis()]
     gens = [(j, i, d * c) for i, c in enumerate(norm)
             for j, d in enumerate(res.entries) if not d.is_zero()]

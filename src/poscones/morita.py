@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import AlgebraWithInvolution, MatD, kron_identity_left
+from .algebra import AlgebraWithInvolution, MatD
 from .errors import RankNotDivisible
 from .forms import DiagonalizationResult, HermitianForm, diagonalize
 
@@ -50,18 +50,7 @@ def base_algebra(div) -> AlgebraWithInvolution:
 
 def scale_involution(h: HermitianForm) -> HermitianForm:
     """Left-multiply each Gram block by phi^-1; result is theta_t-hermitian."""
-    alg = h.alg
-    if alg.has_standard_involution:
-        target = alg
-        gram = h.gram
-    else:
-        target = theta_algebra(alg)
-        gram = (
-            kron_identity_left(h.rank, alg.phi_inv) * h.gram
-            if h.rank
-            else h.gram
-        )
-    return HermitianForm(target, h.rank, gram, _checked=True)
+    return HermitianForm(theta_algebra(h.alg), h.rank, h.reduced, _checked=True)
 
 
 def collapse(h: HermitianForm) -> HermitianForm:
@@ -91,4 +80,4 @@ def full_reduction(h: HermitianForm) -> HermitianForm:
 
 def reduced_diagonal(h: HermitianForm) -> DiagonalizationResult:
     """The verified diagonalization of the reduction of h to (D, theta)."""
-    return diagonalize(full_reduction(h).gram)
+    return diagonalize(h.reduced)

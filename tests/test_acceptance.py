@@ -5,11 +5,15 @@ under sixty seconds.  One PASS/FAIL line per criterion is printed with
 capture suspended so the verdicts stay visible in the pytest output.
 """
 
+import re
 import time
 
 import pytest
 
-from poscones.acceptance import CRITERIA
+import poscones.acceptance
+import poscones.signature
+from poscones.acceptance import CRITERIA, criterion_5, criterion_9, run_all
+from poscones.forms import DiagonalizationResult
 
 SEED = 0
 SCALE = 1.0
@@ -36,3 +40,44 @@ def test_criterion(criterion, capsys):
         f"criterion {result.number} took {elapsed:.1f}s "
         f"(limit {TIME_LIMIT:.0f}s)"
     )
+
+
+# -- the criteria against deliberately broken predicates ------------------------
+
+MUTATION_SCALE = 0.05
+
+
+def test_a_raising_criterion_is_reported_as_fail(monkeypatch):
+    # sign_eta off by one makes m_p's re-check raise inside criteria 4 and 8;
+    # run_all reports them as FAIL and still runs every other criterion
+    sign_eta = poscones.signature.sign_eta
+
+    def off_by_one(h, p):
+        return sign_eta(h, p) + 1
+
+    monkeypatch.setattr(poscones.signature, "sign_eta", off_by_one)
+    monkeypatch.setattr(poscones.acceptance, "sign_eta", off_by_one)
+    results = {r.number: r for r, _ in run_all(SEED, MUTATION_SCALE)}
+    assert sorted(results) == list(range(1, 11))
+    assert {3, 6, 10} <= {n for n, r in results.items() if not r.passed}
+    for n in (4, 8):
+        assert not results[n].passed
+        assert results[n].detail.startswith("raised InternalInvariantViolation: ")
+    # is_positive_involution reads the trace form alone, so 6 and 10 fail
+    # on a comparison rather than by raising
+    assert not any(results[n].detail.startswith("raised") for n in (3, 6, 10))
+
+
+def test_in_cone_at_ignoring_eps_fails_criterion_5(monkeypatch):
+    in_cone_at = DiagonalizationResult.in_cone_at
+    monkeypatch.setattr(
+        DiagonalizationResult, "in_cone_at", lambda self, p, eps=1: in_cone_at(self, p)
+    )
+    assert not criterion_5(SEED, MUTATION_SCALE).passed
+
+
+def test_criterion_9_sees_maximal_elements_at_small_scale():
+    result = criterion_9(SEED, 0.01)
+    assert result.passed
+    maximal = re.search(r"(\d+) maximal, (\d+) not", result.detail)
+    assert int(maximal.group(1)) > 0 and int(maximal.group(2)) > 0

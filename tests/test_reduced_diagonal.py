@@ -1,5 +1,6 @@
 """Cone, maximality and Harrison predicates read one reduced diagonal."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,14 @@ from poscones import (
     AlgebraWithInvolution,
     DivisionAlgebraDesc,
     FieldDesc,
+    HermitianForm,
     MatD,
     NotSymmetric,
     PositiveCone,
     harrison_sigma,
     in_m_p,
     is_maximal_on,
+    is_positive_involution,
     member,
     pre_sylvester,
     rank_one,
@@ -22,6 +25,7 @@ from poscones import (
     x_tilde,
     zoo_algebra,
 )
+from poscones.sampling import rand_hermitian_form_gram
 
 SPLIT = DivisionAlgebraDesc(FieldDesc(), "split")
 
@@ -101,3 +105,46 @@ def test_one_diagonalization_per_element(monkeypatch):
     assert count(is_maximal_on, alg, u, ys) == 1
     # the decomposition is read from the one verified reduced diagonal
     assert count(pre_sylvester, rank_one(alg, u), ys[0]) == 1
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_one_reduction_product_per_element(monkeypatch):
+    # phi = diag(1, -1): every predicate reduces u by one product phi^-1 * u
+    # and diagonalize verifies with two; nothing else multiplies
+    alg = zoo_algebra("split-q-2-indef")
+    p = x_tilde(alg)[0]
+    u = alg.phi * qmat([[2, 1], [1, 3]])
+    cone = PositiveCone(alg, p, 1)
+    gram = rand_hermitian_form_gram(random.Random(0), alg, 2)
+    products = _count_calls(monkeypatch, MatD, "__mul__")
+    inverses = _count_calls(monkeypatch, MatD, "inverse")
+    verified = _count_calls(monkeypatch, poscones.forms, "_verify_diagonalization")
+
+    for call in (
+        lambda: member(u, cone),
+        lambda: is_maximal_on(alg, u, (p,)),
+        lambda: harrison_sigma(alg, [u]),
+    ):
+        products.clear()
+        call()
+        assert len(products) <= 3
+
+    products.clear()
+    HermitianForm(alg, 2, gram)
+    assert len(products) == 1
+
+    inverses.clear()
+    verified.clear()
+    is_positive_involution(alg, u, p)
+    assert inverses == [] and len(verified) == 1

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import poscones.acceptance
 from poscones import (
     FieldDesc,
+    InternalInvariantViolation,
     MatD,
     ParseError,
     classify_all,
@@ -496,6 +498,24 @@ class TestSelftest:
         assert len(lines) == 10
         assert all(re.fullmatch(r"criterion +\d+  PASS  .+  \(\d+\.\ds\)", x)
                    for x in lines)
+
+    def test_a_raising_criterion_fails_and_the_rest_still_run(
+        self, capsys, monkeypatch
+    ):
+        def broken(seed, scale):
+            raise InternalInvariantViolation("broken on purpose")
+
+        monkeypatch.setattr(
+            poscones.acceptance, "CRITERIA", (broken, poscones.acceptance.criterion_10)
+        )
+        assert main(["selftest", "--json"]) == 1
+        first, second = json.loads(capsys.readouterr().out)["criteria"]
+        assert not first["passed"] and second["passed"]
+        assert re.fullmatch(
+            r"raised InternalInvariantViolation: broken on purpose "
+            r"\(in broken, line \d+\)",
+            first["detail"],
+        )
 
 
 class TestEntryPoints:

@@ -296,6 +296,26 @@ class TestPositiveInvolution:
                 assert is_positive_involution(alg, c.inverse(), p), name
 
 
+class TestPositiveInvolutionOracle:
+    def test_trace_form_matches_the_signature_route(self):
+        # tau = Int(b) o sigma is positive at P exactly when P is non-nil
+        # and <b^-1> attains the maximal signature n_P in absolute value
+        verdicts = set()
+        for name in zoo_names():
+            alg = zoo_algebra(name)
+            rng = random.Random(f"posinv-oracle:{name}")
+            for _ in range(4):
+                b = rand_invertible_symmetric(rng, alg)
+                for p in orderings_of(alg):
+                    info = classify(alg, p)
+                    oracle = not info.nil and abs(
+                        sign_eta(rank_one(alg, b.inverse()), p)
+                    ) == info.n_p
+                    assert is_positive_involution(alg, b, p) == oracle, (name, p)
+                    verdicts.add(oracle)
+        assert verdicts == {True, False}
+
+
 # -- the flip construction as an oracle for the closed forms ------------------
 
 
