@@ -10,25 +10,24 @@ quadratic fields Q(sqrt(d)):
 * signatures of forms at the orderings of the base field, maximal
   rank-one signatures, and scalar (Sylvester-style) decompositions;
 * the two positive cones sitting over each non-nil ordering: exact
-  membership, going up/down between D and M_ell(D), twisting, sampled
-  closure and properness checks, and constructive positive involutions.
+  membership, going up/down between D and M_ell(D), twisting, an exact
+  decision whether a set generates a proper cone (with a checked
+  refutation when it does not), and constructive positive involutions.
 
 A CLI (``poscones``) exposes the same operations over JSON descriptors.
 """
 
 from .algebra import AlgebraWithInvolution, DElem, DivisionAlgebraDesc, MatD
 from .cones import (
-    ConeSample,
+    GeneratedCone,
     PositiveCone,
-    PropernessResult,
     enumerate_cones,
     formally_real,
-    gen_cone_sample,
+    generated_cone,
     harrison_sigma,
     is_maximal_on,
     member,
     positive_involution_at,
-    properness_check,
     psd_up,
     scale_cone,
     trace_down,
@@ -107,7 +106,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AlgebraWithInvolution",
-    "ConeSample",
     "DElem",
     "DiagonalizationResult",
     "DimensionMismatch",
@@ -115,6 +113,7 @@ __all__ = [
     "DivisionByZero",
     "FieldDesc",
     "FieldElem",
+    "GeneratedCone",
     "HermitianForm",
     "InternalInvariantViolation",
     "MatD",
@@ -126,7 +125,6 @@ __all__ = [
     "ParseError",
     "PosconesError",
     "PositiveCone",
-    "PropernessResult",
     "QuadraticFormF",
     "RankNotDivisible",
     "Singular",
@@ -146,7 +144,7 @@ __all__ = [
     "formally_real",
     "format_elem",
     "full_reduction",
-    "gen_cone_sample",
+    "generated_cone",
     "harrison",
     "harrison_sigma",
     "in_m_p",
@@ -162,7 +160,6 @@ __all__ = [
     "parse_elem",
     "positive_involution_at",
     "pre_sylvester",
-    "properness_check",
     "psd_up",
     "rank_one",
     "reduced_diagonal",

@@ -17,13 +17,13 @@ from typing import Callable
 
 from .algebra import AlgebraWithInvolution, DivisionAlgebraDesc, MatD
 from .cones import (
+    GeneratedCone,
     PositiveCone,
     enumerate_cones,
-    gen_cone_sample,
+    generated_cone,
     is_maximal_on,
     member,
     positive_involution_at,
-    properness_check,
     psd_up,
     trace_down,
 )
@@ -63,9 +63,26 @@ __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 @dataclass(frozen=True)
 class CriterionResult:
     number: int
-    name: str
     passed: bool
     detail: str
+
+    @property
+    def name(self) -> str:
+        return TITLES[self.number]
+
+
+TITLES = {
+    1: "diagonalization soundness and pivot-strategy invariance",
+    2: "up/down round trip and membership coherence",
+    3: "signature laws (hyperbolic, additive, multiplicative)",
+    4: "rank-one signature bound, witness, and nil vanishing",
+    5: "split cones match the principal-minor PSD oracle",
+    6: "positive involutions exist off nil and never on nil",
+    7: "scalar decomposition, inertia, and normalized signature",
+    8: "sampled cone closures stay inside and stay proper",
+    9: "maximality matches cone membership on all ordering subsets",
+    10: "identity positivity: cones, signature, trace form agree",
+}
 
 
 def _count(base: int, scale: float) -> int:
@@ -86,7 +103,6 @@ def _random_form(
 
 
 def criterion_1(seed: int, scale: float = 1.0) -> CriterionResult:
-    name = "diagonalization soundness and pivot-strategy invariance"
     per_algebra = _count(300, scale)
     checked = 0
     for zname, alg in zoo_all().items():
@@ -104,25 +120,24 @@ def criterion_1(seed: int, scale: float = 1.0) -> CriterionResult:
                 rhs = MatD.diagonal(div, [div.from_field(e) for e in res.entries])
                 if lhs != rhs:
                     return CriterionResult(
-                        1, name, False, f"congruence identity failed on {zname}"
+                        1, False, f"congruence identity failed on {zname}"
                     )
                 results[strat] = res
             first, lastr = results["first"], results["last"]
             if first.rank != lastr.rank:
                 return CriterionResult(
-                    1, name, False, f"rank differs across strategies on {zname}"
+                    1, False, f"rank differs across strategies on {zname}"
                 )
             for p in live:
                 if first.sign_counts_at(p) != lastr.sign_counts_at(p):
                     return CriterionResult(
                         1,
-                        name,
                         False,
                         f"sign counts differ across strategies on {zname} at P{p}",
                     )
             checked += 1
     return CriterionResult(
-        1, name, True, f"{checked} matrices diagonalized under both strategies"
+        1, True, f"{checked} matrices diagonalized under both strategies"
     )
 
 
@@ -130,7 +145,6 @@ def criterion_1(seed: int, scale: float = 1.0) -> CriterionResult:
 
 
 def criterion_2(seed: int, scale: float = 1.0) -> CriterionResult:
-    name = "up/down round trip and membership coherence"
     per_algebra = _count(200, scale)
     checked = 0
     for zname, alg in zoo_all().items():
@@ -142,12 +156,12 @@ def criterion_2(seed: int, scale: float = 1.0) -> CriterionResult:
         for kd in enumerate_cones(base):
             if trace_down(psd_up(kd, ell)) != kd:
                 return CriterionResult(
-                    2, name, False, f"down o up is not the identity on {zname}"
+                    2, False, f"down o up is not the identity on {zname}"
                 )
         for ku in enumerate_cones(up_alg):
             if psd_up(trace_down(ku), ell) != ku:
                 return CriterionResult(
-                    2, name, False, f"up o down is not the identity on {zname}"
+                    2, False, f"up o down is not the identity on {zname}"
                 )
         for kd in enumerate_cones(base):
             ku = psd_up(kd, ell)
@@ -163,7 +177,7 @@ def criterion_2(seed: int, scale: float = 1.0) -> CriterionResult:
                 up_u = MatD(div, lifted)
                 if member(down_u, kd) != member(up_u, ku):
                     return CriterionResult(
-                        2, name, False, f"scalar coherence failed on {zname}"
+                        2, False, f"scalar coherence failed on {zname}"
                     )
                 # matrix coherence: membership above equals entrywise
                 # membership of the diagonalization below
@@ -174,7 +188,7 @@ def criterion_2(seed: int, scale: float = 1.0) -> CriterionResult:
                 )
                 if member(b, ku) != below:
                     return CriterionResult(
-                        2, name, False, f"matrix coherence failed on {zname}"
+                        2, False, f"matrix coherence failed on {zname}"
                     )
                 # value coherence: pairings of a cone member land below
                 lam = [
@@ -193,23 +207,22 @@ def criterion_2(seed: int, scale: float = 1.0) -> CriterionResult:
                 )
                 if not member(inside, ku):
                     return CriterionResult(
-                        2, name, False, f"constructed member escaped on {zname}"
+                        2, False, f"constructed member escaped on {zname}"
                     )
                 x = rand_matd(rng, div, ell, 1)
                 val = x.theta_t() * inside * x
                 if not member(val, kd):
                     return CriterionResult(
-                        2, name, False, f"pairing value escaped on {zname}"
+                        2, False, f"pairing value escaped on {zname}"
                     )
                 checked += 1
-    return CriterionResult(2, name, True, f"{checked} coherence samples agreed")
+    return CriterionResult(2, True, f"{checked} coherence samples agreed")
 
 
 # -- criterion 3: signature laws ----------------------------------------------
 
 
 def criterion_3(seed: int, scale: float = 1.0) -> CriterionResult:
-    name = "signature laws (hyperbolic, additive, multiplicative)"
     per_algebra = _count(20, scale)
     checked = 0
     for zname, alg in zoo_all().items():
@@ -228,27 +241,24 @@ def criterion_3(seed: int, scale: float = 1.0) -> CriterionResult:
             for p in orderings_of(alg):
                 if sign_eta(hyp, p) != 0:
                     return CriterionResult(
-                        3, name, False, f"hyperbolic form had nonzero sign on {zname}"
+                        3, False, f"hyperbolic form had nonzero sign on {zname}"
                     )
                 if sign_eta(direct_sum(h1, h2), p) != sign_eta(h1, p) + sign_eta(
                     h2, p
                 ):
-                    return CriterionResult(
-                        3, name, False, f"additivity failed on {zname}"
-                    )
+                    return CriterionResult(3, False, f"additivity failed on {zname}")
                 if sign_eta(tensor(q, h1), p) != q.sign_at(p) * sign_eta(h1, p):
                     return CriterionResult(
-                        3, name, False, f"multiplicativity failed on {zname}"
+                        3, False, f"multiplicativity failed on {zname}"
                     )
             checked += 1
-    return CriterionResult(3, name, True, f"{checked} instances obeyed all laws")
+    return CriterionResult(3, True, f"{checked} instances obeyed all laws")
 
 
 # -- criterion 4: maximal rank-one signature ----------------------------------
 
 
 def criterion_4(seed: int, scale: float = 1.0) -> CriterionResult:
-    name = "rank-one signature bound, witness, and nil vanishing"
     per_algebra = _count(500, scale)
     checked = 0
     for zname, alg in zoo_all().items():
@@ -259,11 +269,11 @@ def criterion_4(seed: int, scale: float = 1.0) -> CriterionResult:
                 value, witness = m_p(alg, p)
                 if value != info.n_p:
                     return CriterionResult(
-                        4, name, False, f"witness bound wrong on {zname} at P{p}"
+                        4, False, f"witness bound wrong on {zname} at P{p}"
                     )
                 if sign_eta(rank_one(alg, witness), p) != info.n_p:
                     return CriterionResult(
-                        4, name, False, f"witness missed bound on {zname} at P{p}"
+                        4, False, f"witness missed bound on {zname} at P{p}"
                     )
         for _ in range(per_algebra):
             a = rand_invertible_symmetric(rng, alg)
@@ -273,16 +283,14 @@ def criterion_4(seed: int, scale: float = 1.0) -> CriterionResult:
                 if info.nil:
                     if s != 0:
                         return CriterionResult(
-                            4, name, False, f"nonzero signature at nil P{p} on {zname}"
+                            4, False, f"nonzero signature at nil P{p} on {zname}"
                         )
                 elif abs(s) > info.n_p:
                     return CriterionResult(
-                        4, name, False, f"signature exceeded n_P on {zname}"
+                        4, False, f"signature exceeded n_P on {zname}"
                     )
             checked += 1
-    return CriterionResult(
-        4, name, True, f"{checked} random units stayed within the bound"
-    )
+    return CriterionResult(4, True, f"{checked} random units stayed within the bound")
 
 
 # -- criterion 5: split cones against a minor-based oracle --------------------
@@ -318,7 +326,6 @@ def _psd_oracle(m: list[list[Fraction]]) -> bool:
 
 
 def criterion_5(seed: int, scale: float = 1.0) -> CriterionResult:
-    name = "split cones match the principal-minor PSD oracle"
     per_n = _count(500, scale)
     singular_target = _count(100, scale)
     field = FieldDesc()
@@ -339,28 +346,24 @@ def criterion_5(seed: int, scale: float = 1.0) -> CriterionResult:
             neg_rows = [[-x for x in row] for row in rows]
             if member(m, plus) != _psd_oracle(rows):
                 return CriterionResult(
-                    5, name, False, f"PSD disagreement at n={n}, sample {i}"
+                    5, False, f"PSD disagreement at n={n}, sample {i}"
                 )
             if member(m, minus) != _psd_oracle(neg_rows):
                 return CriterionResult(
-                    5, name, False, f"NSD disagreement at n={n}, sample {i}"
+                    5, False, f"NSD disagreement at n={n}, sample {i}"
                 )
             checked += 1
         if singular_seen < singular_target:
             return CriterionResult(
-                5,
-                name,
-                False,
-                f"only {singular_seen} singular samples at n={n}",
+                5, False, f"only {singular_seen} singular samples at n={n}"
             )
-    return CriterionResult(5, name, True, f"{checked} matrices matched the oracle")
+    return CriterionResult(5, True, f"{checked} matrices matched the oracle")
 
 
 # -- criterion 6: positive involutions ----------------------------------------
 
 
 def criterion_6(seed: int, scale: float = 1.0) -> CriterionResult:
-    name = "positive involutions exist off nil and never on nil"
     per_nil = _count(200, scale)
     built = 0
     refuted = 0
@@ -373,11 +376,11 @@ def criterion_6(seed: int, scale: float = 1.0) -> CriterionResult:
                 q = trace_form(alg, b)
                 if not q.is_positive_semidefinite_at(p):
                     return CriterionResult(
-                        6, name, False, f"trace form not PSD on {zname} at P{p}"
+                        6, False, f"trace form not PSD on {zname} at P{p}"
                     )
                 if abs(sign_eta(rank_one(alg, b.inverse()), p)) != info.n_p:
                     return CriterionResult(
-                        6, name, False, f"witness signature off on {zname} at P{p}"
+                        6, False, f"witness signature off on {zname} at P{p}"
                     )
                 built += 1
             else:
@@ -386,13 +389,12 @@ def criterion_6(seed: int, scale: float = 1.0) -> CriterionResult:
                     if is_positive_involution(alg, b, p):
                         return CriterionResult(
                             6,
-                            name,
                             False,
                             f"positive involution appeared at nil P{p} on {zname}",
                         )
                     refuted += 1
     return CriterionResult(
-        6, name, True, f"{built} constructions verified, {refuted} nil twists refuted"
+        6, True, f"{built} constructions verified, {refuted} nil twists refuted"
     )
 
 
@@ -400,7 +402,6 @@ def criterion_6(seed: int, scale: float = 1.0) -> CriterionResult:
 
 
 def criterion_7(seed: int, scale: float = 1.0) -> CriterionResult:
-    name = "scalar decomposition, inertia, and normalized signature"
     per_algebra = _count(100, scale)
     checked = 0
     for zname, alg in zoo_all().items():
@@ -420,80 +421,32 @@ def criterion_7(seed: int, scale: float = 1.0) -> CriterionResult:
                 pos, neg, _ = last.sign_counts_at(p)
                 if (dec.r, dec.s) != (alg.ell * pos, alg.ell * neg):
                     return CriterionResult(
-                        7, name, False, f"inertia failed on {zname} at P{p}"
+                        7, False, f"inertia failed on {zname} at P{p}"
                     )
                 sig = sign_eta(h, p)
                 if dec.sign_value(1) != sig:
                     return CriterionResult(
-                        7,
-                        name,
-                        False,
-                        f"normalized signature mismatch on {zname} at P{p}",
+                        7, False, f"normalized signature mismatch on {zname} at P{p}"
                     )
                 if dec.sign_value(-1) != -sig:
                     return CriterionResult(
-                        7, name, False, f"mirror signature mismatch on {zname}"
+                        7, False, f"mirror signature mismatch on {zname}"
                     )
             checked += 1
     return CriterionResult(
-        7, name, True, f"{checked} nonsingular forms decomposed and validated"
+        7, True, f"{checked} nonsingular forms decomposed and validated"
     )
 
 
-# -- criterion 8: sampled cone axioms ------------------------------------------
-
-
-def criterion_8(seed: int, scale: float = 1.0) -> CriterionResult:
-    name = "sampled cone closures stay inside and stay proper"
-    budget = _count(300, scale)
-    checked = 0
-    for zname, alg in zoo_all().items():
-        for cone in enumerate_cones(alg):
-            _, witness = m_p(alg, cone.ordering)
-            gen = witness if cone.eps == 1 else -witness
-            sample = gen_cone_sample(
-                alg, [gen], cone.ordering, budget=budget, seed=seed
-            )
-            bad = [u for u in sample.elements if not member(u, cone)]
-            if bad:
-                return CriterionResult(
-                    8, name, False, f"closure escaped the cone on {zname}"
-                )
-            prop = properness_check(sample)
-            if not prop.proper:
-                return CriterionResult(
-                    8, name, False, f"proper cone sample looked improper on {zname}"
-                )
-            checked += len(sample.elements)
-    # seeded improper generator set over (M_2(Q), transpose)
-    field = FieldDesc()
-    div = DivisionAlgebraDesc(field, "split")
-    alg2 = AlgebraWithInvolution(2, div, MatD.identity(div, 2))
-    bad_gen = MatD.diagonal(div, [div.from_field(1), div.from_field(-1)])
-    # detection relies on the deterministic twisted-square prefix of the
-    # sample; keep room for it even when a tiny scale shrinks the budget
-    sample = gen_cone_sample(alg2, [bad_gen], 0, budget=max(budget, 5), seed=seed)
-    prop = properness_check(sample)
-    if prop.proper:
-        return CriterionResult(
-            8, name, False, "improper generators were not detected"
-        )
-    return CriterionResult(
-        8,
-        name,
-        True,
-        f"{checked} closure elements stayed inside; improper seed was refuted",
-    )
-
-
-# -- criterion 9: cone characterization of maximality ---------------------------
+# -- the transfer oracle of criteria 8 and 9 -----------------------------------
 #
-# The oracle shares no code with the reduction, diagonalize or in_cone_at.  The
-# Scharlau transfer S of <u> is the F-form (x, y) -> scalar coordinate of
-# theta_t(x) * phi^-1 u * y on D^ell.  If phi^-1 u is congruent to <e_k> over
-# D, S is isometric to <e_k> tensor the norm form of D, which is positive
-# definite at every non-nil P: u is maximal at P iff S has no negative
-# eigenvalue at P.
+# The oracle shares no code with the reduction, diagonalize, in_cone_at or
+# generated_cone.  The Scharlau transfer S of <u> is the F-form (x, y) ->
+# scalar coordinate of theta_t(x) * phi^-1 u * y on D^ell.  If phi^-1 u is
+# congruent to <e_k> over D, S is isometric to <e_k> tensor the norm form of
+# D, which is positive definite at every non-nil P and indefinite at every
+# nil P.  So at a non-nil P, u is maximal iff S has no negative eigenvalue;
+# at a nil P, S has eigenvalues of both signs unless u = 0.
 
 
 def _transfer_gram(alg: AlgebraWithInvolution, u: MatD) -> list[list]:
@@ -531,8 +484,80 @@ def _negative_roots(coeffs: list, p: int) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+# -- criterion 8: generated cones ----------------------------------------------
+
+
+def _closure_sample(
+    rng: random.Random, alg: AlgebraWithInvolution, gens: list, p: int, budget: int
+) -> list[MatD]:
+    """budget elements of the cone over p generated by gens: random sums,
+    twisted squares sigma(x) * u * x and scalings by elements positive at p."""
+    pool = list(gens)
+    while len(pool) < budget:
+        op, u = rng.randrange(3), rng.choice(pool)
+        if op == 0:
+            pool.append(u + rng.choice(pool))
+        elif op == 1:
+            x = rand_matd(rng, alg.div, alg.ell, alg.ell)
+            pool.append(alg.sigma(x) * u * x)
+        else:
+            pool.append(u.scale_field(rand_positive_at(rng, alg.field, p)))
+    return pool[:budget]
+
+
+def criterion_8(seed: int, scale: float = 1.0) -> CriterionResult:
+    budget = _count(300, scale)
+    per_algebra = _count(30, scale)
+    closure = decided = refuted = 0
+    for zname, alg in zoo_all().items():
+        rng = random.Random(f"{seed}:c8:{zname}")
+        for cone in enumerate_cones(alg):
+            _, witness = m_p(alg, cone.ordering)
+            gen = witness if cone.eps == 1 else -witness
+            ans = generated_cone(alg, [gen], cone.ordering)
+            if ans != GeneratedCone(True, cone.eps):
+                detail = f"{cone} generator: proper {ans.proper}, eps {ans.eps}"
+                return CriterionResult(8, False, f"{detail} on {zname}")
+            sample = _closure_sample(rng, alg, [gen], cone.ordering, budget)
+            if not all(member(u, cone) for u in sample):
+                return CriterionResult(8, False, f"closure escaped the cone on {zname}")
+            closure += len(sample)
+        # random S against the oracle: S lies in the cone (P, +1) iff no
+        # transfer has a negative eigenvalue at P, and in (P, -1) iff none
+        # has a positive one; at a nil P only S in {0} does either.  Draw
+        # on (up to 100 sets) until one is refuted at a non-nil P.
+        live, drawn, refuted_here = x_tilde(alg), 0, 0
+        while drawn < per_algebra or (not refuted_here and drawn < 100):
+            drawn += 1
+            gens = [rand_symmetric(rng, alg) for _ in range(1 + rng.randrange(2))]
+            polys = [_charpoly(_transfer_gram(alg, s), alg.field) for s in gens]
+            minus = [_charpoly(_transfer_gram(alg, -s), alg.field) for s in gens]
+            for p in orderings_of(alg):
+                no_neg = all(_negative_roots(c, p) == 0 for c in polys)
+                no_pos = all(_negative_roots(c, p) == 0 for c in minus)
+                ans = generated_cone(alg, gens, p)
+                if (ans.proper, ans.eps) != (no_neg or no_pos, no_neg - no_pos):
+                    return CriterionResult(
+                        8, False, f"decision disagreed with the oracle on {zname} "
+                        f"at P{p}: proper {ans.proper}, eps {ans.eps}",
+                    )
+                decided += 1
+                refuted_here += not ans.proper and p in live
+        if not refuted_here:
+            return CriterionResult(
+                8, False, f"no improper set refuted at a non-nil ordering on {zname}"
+            )
+        refuted += refuted_here
+    return CriterionResult(
+        8, True, f"{closure} closure elements stayed inside; {decided} decisions "
+        f"matched the transfer charpoly oracle, {refuted} refuted off nil",
+    )
+
+
+# -- criterion 9: cone characterization of maximality ---------------------------
+
+
 def criterion_9(seed: int, scale: float = 1.0) -> CriterionResult:
-    name = "maximality matches cone membership on all ordering subsets"
     per_algebra = _count(100, scale)
     checked = maximal = not_maximal = 0
     for zname, alg in zoo_all().items():
@@ -556,20 +581,14 @@ def criterion_9(seed: int, scale: float = 1.0) -> CriterionResult:
                 oracle = all(_negative_roots(poly, p) == 0 for p in ys)
                 if is_maximal_on(alg, u, ys) != oracle:
                     return CriterionResult(
-                        9,
-                        name,
-                        False,
-                        f"criteria disagreed on {zname} for subset {ys}",
+                        9, False, f"criteria disagreed on {zname} for subset {ys}"
                     )
                 checked += 1
                 if ys:
                     maximal += oracle
                     not_maximal += not oracle
     return CriterionResult(
-        9,
-        name,
-        True,
-        f"{checked} comparisons agreed with the transfer charpoly oracle; "
+        9, True, f"{checked} comparisons agreed with the transfer charpoly oracle; "
         f"on non-empty subsets {maximal} maximal, {not_maximal} not",
     )
 
@@ -578,7 +597,6 @@ def criterion_9(seed: int, scale: float = 1.0) -> CriterionResult:
 
 
 def criterion_10(seed: int, scale: float = 1.0) -> CriterionResult:
-    name = "identity positivity: cones, signature, trace form agree"
     checked = 0
     for zname, alg in zoo_all().items():
         one = alg.identity()
@@ -592,14 +610,11 @@ def criterion_10(seed: int, scale: float = 1.0) -> CriterionResult:
             by_trace = is_positive_involution(alg, one, p)
             if not (in_some_cone == by_sign == by_trace):
                 return CriterionResult(
-                    10,
-                    name,
-                    False,
-                    f"criteria split on {zname} at P{p}: "
+                    10, False, f"criteria split on {zname} at P{p}: "
                     f"cone={in_some_cone} sign={by_sign} trace={by_trace}",
                 )
             checked += 1
-    return CriterionResult(10, name, True, f"{checked} orderings agreed three ways")
+    return CriterionResult(10, True, f"{checked} orderings agreed three ways")
 
 
 CRITERIA: tuple[Callable[[int, float], CriterionResult], ...] = (
@@ -630,6 +645,6 @@ def run_all(seed: int = 0, scale: float = 1.0) -> list[tuple[CriterionResult, fl
                 tb = tb.tb_next
             where = f"in {tb.tb_frame.f_code.co_name}, line {tb.tb_lineno}"
             detail = f"raised {type(exc).__name__}: {exc} ({where})"
-            result = CriterionResult(number, fn.__name__, False, detail)
+            result = CriterionResult(number, False, detail)
         out.append((result, time.perf_counter() - start))
     return out

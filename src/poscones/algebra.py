@@ -109,6 +109,18 @@ class DivisionAlgebraDesc:
             out.append(DElem(self, tuple(coords)))
         return tuple(out)
 
+    def norm_form(self) -> tuple[FieldElem, ...]:
+        """<theta(beta) * beta> over the standard basis: <1>, <1, d> or
+        <1, a, b, ab>.  It is positive definite exactly at the orderings P
+        where D (x) F_P is still a division algebra: the non-nil ones."""
+        one = self.base.one()
+        if self.kind == "split":
+            return (one,)
+        if self.kind == "quad":
+            return (one,) + self.params
+        a, b = self.params
+        return (one, a, b, a * b)
+
     def __str__(self) -> str:
         if self.kind == "split":
             return str(self.base)

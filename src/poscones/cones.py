@@ -8,12 +8,13 @@ has sign eps at P; the cone with eps = +1 contains phi.
 
 Cones transfer along the same moves as forms: going up D -> M_ell(D)
 (pointwise positive semidefiniteness), going down (values of the
-pairing), and twisting the involution by a symmetric unit.
+pairing), and twisting the involution by a symmetric unit.  Whether a
+set of symmetric elements generates a proper cone over P is decided
+exactly, with a checked refutation when it does not.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,7 +29,6 @@ from .errors import (
 from .forms import rank_one
 from .morita import base_algebra, reduced_diagonal, standard_algebra
 from .orders import classify, x_tilde
-from .sampling import rand_matd, rand_positive_at
 from .signature import is_positive_involution
 
 __all__ = [
@@ -38,10 +38,8 @@ __all__ = [
     "psd_up",
     "trace_down",
     "scale_cone",
-    "ConeSample",
-    "gen_cone_sample",
-    "PropernessResult",
-    "properness_check",
+    "GeneratedCone",
+    "generated_cone",
     "positive_involution_at",
     "formally_real",
     "harrison_sigma",
@@ -124,87 +122,73 @@ def scale_cone(a: MatD, cone: PositiveCone) -> PositiveCone:
     return PositiveCone(target, cone.ordering, cone.eps)
 
 
-# -- sampled cone closures -----------------------------------------------------
+# -- cones generated by a set ---------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ConeSample:
-    """Finite sample of a cone closure from a generator set."""
+class GeneratedCone:
+    """Answer of generated_cone.  A proper one has eps = +1 or -1 when the
+    generators lie in the cone (P, eps), and eps = 0 when they are all
+    zero.  An improper one carries refutation = (x1, s1, lam1, x2, s2,
+    lam2): s1, s2 are generators, lam1, lam2 are positive at P, and
+    lam1 * sigma(x1) * s1 * x1 = -lam2 * sigma(x2) * s2 * x2 != 0."""
 
-    alg: AlgebraWithInvolution
-    ordering: int
-    generators: tuple[MatD, ...]
-    elements: tuple[MatD, ...]
+    proper: bool
+    eps: int = 0
+    refutation: tuple | None = None
 
 
-def gen_cone_sample(
-    alg: AlgebraWithInvolution,
-    generators: Sequence[MatD],
-    p: int,
-    budget: int = 300,
-    seed: int = 0,
-) -> ConeSample:
-    """Sample the closure of the generators under the cone operations.
+def generated_cone(
+    alg: AlgebraWithInvolution, gens: Sequence[MatD], p: int
+) -> GeneratedCone:
+    """Decide exactly whether the generators span a proper cone over p.
 
-    Closure steps: sums, twisted squares sigma(x) * s * x, and scaling by
-    field elements positive at p.  The first elements enumerated are the
-    twisted squares of the generators along all single-entry matrices,
-    which suffice to expose improper generator sets.
+    The cone over P generated by S is the set of finite sums of
+    lam * sigma(x) * s * x with lam positive at P, x in A and s in S.
+    Every prepositive cone over P lies in C_P^+ or C_P^-, the two
+    positive cones over P, and there are none over a nil P.  So the
+    generated cone is proper exactly when S lies in C_P^+ or in C_P^-.
+
+    Each s is reduced and diagonalized, theta_t(G) * phi^-1 s * G =
+    diag(e).  With c_beta = theta(beta) * beta, the norm form of D,
+    x = G * E_i1 * beta gives sigma(x) * s * x = e_i * c_beta * phi * E_11.
+    If every nonzero e_i * c_beta has one sign eps at P, S lies in the
+    cone (P, eps).  Otherwise a positive and a negative product, scaled
+    to absolute value 1, give phi * E_11 and its negative: a refutation,
+    re-checked by products.  At a nil P the norm form is indefinite, so
+    any nonzero s refutes.  S in {0} generates {0}, which lies in both
+    cones over a non-nil P: proper with eps 0.  Each s must be
+    sigma-symmetric, else NotSymmetric is raised.
     """
     classify(alg, p)  # validates the ordering
-    gens = tuple(generators)
+    basis, norm = alg.div.basis(), alg.div.norm_form()
+    first = {}  # sign at p -> (s, G, i, beta, product): first of that sign
     for s in gens:
-        if not alg.is_symmetric(s):
-            raise NotSymmetric("generator is not sigma-symmetric")
-    rng = random.Random(seed)
-    pool: list[MatD] = list(gens)
-    out: list[MatD] = list(gens)
-
-    def push(x: MatD) -> None:
-        pool.append(x)
-        out.append(x)
-
-    # deterministic twisted squares of the generators by single-entry
-    # matrices: sigma(x) * s * x picks out diagonal values of s
-    units: list[MatD] = []
-    for r in range(alg.ell):
-        for c in range(alg.ell):
-            for beta in alg.div.basis():
-                m = [[alg.div.zero()] * alg.ell for _ in range(alg.ell)]
-                m[r][c] = beta
-                units.append(MatD(alg.div, m))
-    for s in gens:
-        for x in units:
-            if len(out) >= budget:
-                break
-            push(alg.sigma(x) * s * x)
-
-    while len(out) < budget:
-        op = rng.randrange(3)
-        if op == 0:
-            push(rng.choice(pool) + rng.choice(pool))
-        elif op == 1:
-            x = rand_matd(rng, alg.div, alg.ell, alg.ell)
-            push(alg.sigma(x) * rng.choice(pool) * x)
-        else:
-            lam = rand_positive_at(rng, alg.field, p)
-            push(rng.choice(pool).scale_field(lam))
-    return ConeSample(alg, p, gens, tuple(out[:budget]))
+        res = reduced_diagonal(rank_one(alg, s))
+        for i, e in enumerate(res.entries[: res.rank]):
+            for beta, c in zip(basis, norm):
+                v = e * c
+                first.setdefault(v.sign_at(p), (s, res.witness, i, beta, v))
+        if len(first) == 2:
+            return _refutation(alg, p, first[1], first[-1])
+    return GeneratedCone(True, next(iter(first), 0))
 
 
-@dataclass(frozen=True)
-class PropernessResult:
-    proper: bool
-    witness: MatD | None = None
-
-
-def properness_check(sample: ConeSample) -> PropernessResult:
-    """Search the sample for a nonzero u with both u and -u present."""
-    seen = set(sample.elements)
-    for u in sample.elements:
-        if not u.is_zero() and (-u) in seen:
-            return PropernessResult(False, u)
-    return PropernessResult(True, None)
+def _refutation(alg: AlgebraWithInvolution, p: int, pos, neg) -> GeneratedCone:
+    """Scale a positive and a negative product to u and -u, and check them."""
+    zero = alg.div.zero()
+    cert = []
+    for (s, g, i, beta, v), sign in ((pos, 1), (neg, -1)):
+        # x = G * E_i1 * beta: column i of G times beta, in column 1
+        x = MatD(alg.div, [[g[r, i] * beta] + [zero] * (alg.ell - 1)
+                           for r in range(alg.ell)])
+        cert += [x, s, v.inverse() * sign]
+    x1, s1, lam1, x2, s2, lam2 = cert
+    u = (alg.sigma(x1) * s1 * x1).scale_field(lam1)
+    v = (alg.sigma(x2) * s2 * x2).scale_field(lam2)
+    if u.is_zero() or u != -v or lam1.sign_at(p) + lam2.sign_at(p) != 2:
+        raise InternalInvariantViolation("refutation failed its check")
+    return GeneratedCone(False, 0, tuple(cert))
 
 
 # -- positive involutions and global structure --------------------------------

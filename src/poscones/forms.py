@@ -162,17 +162,22 @@ class DiagonalizationResult:
         return all(e.is_zero() or e.sign_at(p) == eps for e in self.entries)
 
 
-def diagonalize(h: MatD, strategy: str = "first") -> DiagonalizationResult:
+def diagonalize(
+    h: MatD, strategy: str = "first", *, _checked: bool = False
+) -> DiagonalizationResult:
     """Diagonalize a theta-hermitian matrix over D by congruence.
 
     Returns G invertible with theta_t(G) * H * G diagonal; nonzero entries
     are base-field elements and zero entries trail.  strategy selects the
     pivot search order ("first" or "last") and never changes rank or, at
     any ordering where signatures are defined, the entry sign counts.
+
+    _checked skips the NotHermitian test for a Gram the caller validated;
+    the verified identity with an invertible G implies it anyway.
     """
     if strategy not in ("first", "last"):
         raise ValueError(f"unknown pivot strategy {strategy!r}")
-    if not h.is_theta_hermitian():
+    if not _checked and not h.is_theta_hermitian():
         raise NotHermitian("input matrix is not theta-hermitian")
     alg = h.alg
     n = h.rows
@@ -476,8 +481,7 @@ def weakly_represents(h: HermitianForm, u: MatD) -> WeakRepResult:
 
     res = reduced_diagonal(h)
     tres = reduced_diagonal(target)
-    norm = [(b.theta() * b).scalar() for b in alg.div.basis()]
-    gens = [(j, i, d * c) for i, c in enumerate(norm)
+    gens = [(j, i, d * c) for i, c in enumerate(alg.div.norm_form())
             for j, d in enumerate(res.entries) if not d.is_zero()]
     used = [0] * len(res.entries)  # copies of each slot filled so far
     placed = []  # (copy, slot, column, coordinate, square root)

@@ -79,5 +79,6 @@ def full_reduction(h: HermitianForm) -> HermitianForm:
 
 
 def reduced_diagonal(h: HermitianForm) -> DiagonalizationResult:
-    """The verified diagonalization of the reduction of h to (D, theta)."""
-    return diagonalize(h.reduced)
+    """The verified diagonalization of the reduction of h to (D, theta);
+    h validated that reduction when it was built."""
+    return diagonalize(h.reduced, _checked=True)

@@ -155,23 +155,6 @@ def sign_cone(h: HermitianForm, cone) -> int:
 # -- involution trace forms ---------------------------------------------------
 
 
-def _trace_form_d(div) -> tuple[FieldElem, ...]:
-    """T_D = <trd(theta(beta) * beta)> over the standard basis of D.
-
-    The basis is orthogonal for (x, y) -> trd(theta(x) * y).  The reduced
-    trace is the scalar coordinate for the split and quad kinds and twice
-    it for quaternions, so T_D is <1>, <1, d> or <2, 2a, 2b, 2ab>.
-    """
-    one = div.base.one()
-    if div.kind == "split":
-        return (one,)
-    if div.kind == "quad":
-        return (one,) + div.params
-    a, b = div.params
-    two = one + one
-    return (two, two * a, two * b, two * a * b)
-
-
 def trace_form(alg: AlgebraWithInvolution, b: MatD | None = None) -> QuadraticFormF:
     """Diagonal form isometric to x -> Trd(tau(x) * x), tau = Int(b) o sigma.
 
@@ -184,19 +167,21 @@ def trace_form(alg: AlgebraWithInvolution, b: MatD | None = None) -> QuadraticFo
     and then tau = Int(psi) o theta_t.  If psi diagonalizes (with a
     verified witness) to <u_1, ..., u_ell>, the trace form of tau is
     isometric to <u> (x) <u> (x) T_D, with T_D the trace form of (D, theta)
-    from _trace_form_d (Knus, Merkurjev, Rost, Tignol, The Book of
-    Involutions, section 11).  Entries are listed as
-    u_r * u_c * t_beta for r, c, beta in that nesting order.
+    (Knus, Merkurjev, Rost, Tignol, The Book of Involutions, section 11):
+    the basis of D is orthogonal for trd(theta(x) * y), and trd is the
+    scalar coordinate, twice it for quaternions, so T_D is 1 or 2 times
+    the norm form.  Entries are u_r * u_c * t_beta, nested r, c, beta.
     """
     if b is None:
         b = alg.identity()
     psi = b * alg.phi
     if not psi.is_theta_hermitian():
         raise NotSymmetric("twisting element is not sigma-symmetric")
-    us = diagonalize(psi).entries
+    us = diagonalize(psi, _checked=True).entries
     if any(u.is_zero() for u in us):
         raise Singular("twisting element is not invertible")
-    t_d = _trace_form_d(alg.div)
+    k = 2 if alg.div.kind == "quat" else 1
+    t_d = [k * c for c in alg.div.norm_form()]
     return QuadraticFormF(
         tuple(ur * uc * t for ur in us for uc in us for t in t_d)
     )

@@ -12,7 +12,9 @@ import pytest
 
 import poscones.acceptance
 import poscones.signature
-from poscones.acceptance import CRITERIA, criterion_5, criterion_9, run_all
+from poscones.acceptance import CRITERIA, criterion_5, criterion_8, criterion_9, run_all
+from poscones.algebra import DivisionAlgebraDesc
+from poscones.errors import InternalInvariantViolation
 from poscones.forms import DiagonalizationResult
 
 SEED = 0
@@ -68,12 +70,39 @@ def test_a_raising_criterion_is_reported_as_fail(monkeypatch):
     assert not any(results[n].detail.startswith("raised") for n in (3, 6, 10))
 
 
+def test_a_raising_criterion_keeps_its_title(monkeypatch):
+    def broken(seed, scale):
+        raise InternalInvariantViolation("broken on purpose")
+
+    monkeypatch.setattr(poscones.acceptance, "CRITERIA", (broken,))
+    ((result, _),) = run_all(SEED, MUTATION_SCALE)
+    assert not result.passed
+    assert result.name == poscones.acceptance.TITLES[1]
+
+
 def test_in_cone_at_ignoring_eps_fails_criterion_5(monkeypatch):
     in_cone_at = DiagonalizationResult.in_cone_at
     monkeypatch.setattr(
         DiagonalizationResult, "in_cone_at", lambda self, p, eps=1: in_cone_at(self, p)
     )
     assert not criterion_5(SEED, MUTATION_SCALE).passed
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda c: -c,  # every product e * c_beta changes sign
+        lambda c: c.field.one(),  # the norm form is read as definite at nil P
+    ],
+    ids=["flipped-sign", "norm-form-ignored"],
+)
+def test_a_broken_generated_cone_sign_test_fails_criterion_8(monkeypatch, mutate):
+    norm_form = DivisionAlgebraDesc.norm_form
+    monkeypatch.setattr(
+        DivisionAlgebraDesc, "norm_form",
+        lambda self: tuple(mutate(c) for c in norm_form(self)),
+    )
+    assert not criterion_8(SEED, MUTATION_SCALE).passed
 
 
 def test_criterion_9_sees_maximal_elements_at_small_scale():

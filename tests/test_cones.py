@@ -1,4 +1,4 @@
-"""Positive cones: membership, transfer, sampling, and maximality."""
+"""Positive cones: membership, transfer, generated cones, and maximality."""
 
 from fractions import Fraction
 from math import comb
@@ -8,6 +8,7 @@ import pytest
 from poscones import (
     DivisionAlgebraDesc,
     FieldDesc,
+    GeneratedCone,
     MatD,
     NilOrdering,
     NotSymmetric,
@@ -17,12 +18,11 @@ from poscones import (
     base_algebra,
     enumerate_cones,
     formally_real,
-    gen_cone_sample,
+    generated_cone,
     harrison_sigma,
     is_maximal_on,
     member,
     positive_involution_at,
-    properness_check,
     psd_up,
     scale_cone,
     trace_down,
@@ -150,27 +150,60 @@ class TestScaleCone:
         assert not member(a * (-alg.identity()), moved)
 
 
-class TestSampling:
-    def test_identity_generates_a_proper_sample(self):
-        alg = zoo_algebra("split-q-2")
-        sample = gen_cone_sample(alg, [alg.identity()], 0, budget=48)
-        assert len(sample.elements) == 48
-        k = PositiveCone(alg, 0, 1)
-        assert all(member(u, k) for u in sample.elements)
-        assert properness_check(sample).proper
+class TestGeneratedCone:
+    def _check_refutation(self, alg, gens, p, ans):
+        assert not ans.proper and ans.eps == 0
+        x1, s1, lam1, x2, s2, lam2 = ans.refutation
+        assert s1 in gens and s2 in gens
+        assert lam1.sign_at(p) == 1 and lam2.sign_at(p) == 1
+        u = (alg.sigma(x1) * s1 * x1).scale_field(lam1)
+        assert not u.is_zero()
+        assert u == -(alg.sigma(x2) * s2 * x2).scale_field(lam2)
 
-    def test_indefinite_generator_is_exposed(self):
+    def test_identity_generates_a_proper_cone(self):
         alg = zoo_algebra("split-q-2")
-        sample = gen_cone_sample(alg, [qmat([[1, 0], [0, -1]])], 0, budget=48)
-        res = properness_check(sample)
-        assert not res.proper
-        assert res.witness is not None and not res.witness.is_zero()
-        assert (-res.witness) in set(sample.elements)
+        assert generated_cone(alg, [alg.identity()], 0) == GeneratedCone(True, 1)
+        assert generated_cone(alg, [-alg.identity()], 0) == GeneratedCone(True, -1)
+
+    def test_indefinite_generator_is_refuted(self):
+        # det -4: the sampled closure at budget 300 missed this one for
+        # seeds 0, 1, 2 and 4
+        alg = zoo_algebra("split-q-2")
+        for s in (qmat([[0, 2], [2, -2]]), qmat([[1, 0], [0, -1]])):
+            self._check_refutation(alg, [s], 0, generated_cone(alg, [s], 0))
+
+    def test_opposite_definite_generators_are_refuted(self):
+        alg = zoo_algebra("quat-q-2")
+        gens = [alg.identity(), -alg.phi]
+        self._check_refutation(alg, gens, 0, generated_cone(alg, gens, 0))
+
+    def test_any_nonzero_generator_refutes_at_a_nil_ordering(self):
+        for name in ("quad-rt2-1", "quat-rt2-2"):
+            alg = zoo_algebra(name)
+            gens = [alg.identity()]
+            assert generated_cone(alg, gens, 0) == GeneratedCone(True, 1)
+            self._check_refutation(alg, gens, 1, generated_cone(alg, gens, 1))
+
+    def test_zero_generators_give_the_zero_cone(self):
+        alg = zoo_algebra("quad-rt2-2")
+        for p in (0, 1):
+            assert generated_cone(alg, [], p) == GeneratedCone(True, 0)
+            assert generated_cone(alg, [alg.zero()], p) == GeneratedCone(True, 0)
+
+    def test_agrees_with_membership(self):
+        alg = zoo_algebra("split-q-2-indef")
+        psd = qmat([[2, 1], [-1, -1]])  # phi^-1 * psd = [[2, 1], [1, 1]]
+        assert member(psd, PositiveCone(alg, 0, 1))
+        assert generated_cone(alg, [alg.phi, psd], 0) == GeneratedCone(True, 1)
 
     def test_generators_must_be_symmetric(self):
         alg = zoo_algebra("split-q-2")
         with pytest.raises(NotSymmetric):
-            gen_cone_sample(alg, [qmat([[0, 1], [0, 0]])], 0)
+            generated_cone(alg, [qmat([[0, 1], [0, 0]])], 0)
+
+    def test_invalid_ordering_rejected(self):
+        with pytest.raises(ValueError):
+            generated_cone(zoo_algebra("split-q-2"), [], 1)
 
 
 class TestPositiveInvolutions:

@@ -148,3 +148,12 @@ def test_one_reduction_product_per_element(monkeypatch):
     verified.clear()
     is_positive_involution(alg, u, p)
     assert inverses == [] and len(verified) == 1
+
+
+def test_one_hermitian_check_per_element(monkeypatch):
+    # diag_form validates the reduction of phi; diagonalize trusts it
+    alg = zoo_algebra("split-q-2-indef")
+    cone = PositiveCone(alg, 0, 1)
+    checks = _count_calls(monkeypatch, MatD, "is_theta_hermitian")
+    assert member(alg.phi, cone)
+    assert len(checks) == 1
