@@ -64,8 +64,6 @@ from .forms import (
     diag_form,
     diagonalize,
     direct_sum,
-    morita_diag_rep,
-    nonsingular_part,
     rank_one,
     scale_form,
     tensor,
@@ -153,8 +151,6 @@ __all__ = [
     "is_totally_positive",
     "m_p",
     "member",
-    "morita_diag_rep",
-    "nonsingular_part",
     "orderings",
     "orderings_of",
     "parse_elem",

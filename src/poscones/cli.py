@@ -30,7 +30,7 @@ from .cones import (
     positive_involution_at,
 )
 from .errors import ParseError, PosconesError, TaskError
-from .forms import weakly_represents
+from .forms import HermitianForm, rank_one, weakly_represents
 from .morita import full_reduction, reduced_diagonal
 from .orders import classify_all, orderings_of, x_tilde
 from .serde import (
@@ -97,7 +97,8 @@ def _parse_orderings(raw: Any) -> tuple[int, ...]:
 # -- the command table ---------------------------------------------------------
 #
 # A body takes the algebra and one task: the task's JSON object with its
-# form and element names replaced by the objects they name.  It returns
+# form names replaced by the forms they name, and its element names by the
+# rank-one forms <e> of the elements.  It returns
 # (verdict, JSON payload, text lines); a false verdict makes the exit code 1.
 
 
@@ -246,7 +247,7 @@ def _maximal_on(alg, t):
     "weakrep", "build a weak representation of an element by a form", "form element"
 )
 def _weakrep(alg, t):
-    res = weakly_represents(t["form"], t["element"])
+    res = weakly_represents(t["form"], t["element"].gram)
     found = res.status == "yes"
     payload: dict[str, Any] = {"status": res.status}
     lines = [f"status {res.status}"]
@@ -307,8 +308,21 @@ def _ref(name: Any, kind: str, named: dict) -> Any:
 
 
 def _run_problem(data: Any) -> list:
-    """Execute every task; returns one (command, verdict, payload, lines) each."""
+    """Execute every task; returns one (command, verdict, payload, lines) each.
+
+    A task receives each element it names as the rank-one form <e>, built
+    on the element's first use and kept for the file, so that every form
+    and element is reduced and diagonalized at most once per file.
+    """
     alg, forms, elements, tasks = _load_problem(data)
+    rank_ones: dict[str, HermitianForm] = {}
+
+    def element(name: Any) -> HermitianForm:
+        u = _ref(name, "element", elements)
+        if name not in rank_ones:
+            rank_ones[name] = rank_one(alg, u)
+        return rank_ones[name]
+
     out = []
     for i, spec in enumerate(tasks):
         if not isinstance(spec, dict):
@@ -325,12 +339,12 @@ def _run_problem(data: Any) -> list:
             if "form" in cmd.keys:
                 t["form"] = _ref(spec.get("form"), "form", forms)
             if "element" in cmd.keys:
-                t["element"] = _ref(spec.get("element"), "element", elements)
+                t["element"] = element(spec.get("element"))
             if "elements" in cmd.keys:
                 names = spec.get("elements", [])
                 if not isinstance(names, list):
                     raise ParseError(f"elements must be a list of names, got {names!r}")
-                t["elements"] = [_ref(n, "element", elements) for n in names]
+                t["elements"] = [element(n) for n in names]
             out.append((name, *cmd.body(alg, t)))
         except TaskError:
             raise
@@ -408,7 +422,7 @@ def _cmd_selftest(args):
     lines = [f"zoo: {', '.join(zoo_names())}"]
     lines += [
         f"criterion {r.number:2d}  {'PASS' if r.passed else 'FAIL'}  {r.name}"
-        f"  ({seconds:.1f}s)"
+        f"  ({seconds:.1f}s)  {r.detail}"
         for r, seconds in results
     ]
     code = 0 if all(r.passed for r, _ in results) else 1

@@ -26,7 +26,7 @@ from .errors import (
     OrderingNotInXTilde,
     Singular,
 )
-from .forms import rank_one
+from .forms import HermitianForm, rank_one
 from .morita import base_algebra, reduced_diagonal, standard_algebra
 from .orders import classify, x_tilde
 from .signature import is_positive_involution
@@ -78,10 +78,20 @@ def enumerate_cones(alg: AlgebraWithInvolution) -> tuple[PositiveCone, ...]:
     return tuple(out)
 
 
-def member(u: MatD, cone: PositiveCone) -> bool:
-    """Exact membership of a symmetric element in the cone."""
-    res = reduced_diagonal(rank_one(cone.alg, u))
-    return res.in_cone_at(cone.ordering, cone.eps)
+def _rank_one(alg: AlgebraWithInvolution, u: MatD | HermitianForm) -> HermitianForm:
+    """<u> for a symmetric element u; a form given in its place is used as
+    given, so a caller that keeps <u> diagonalizes it once for every query."""
+    if not isinstance(u, HermitianForm):
+        return rank_one(alg, u)
+    if u.alg != alg or u.rank != 1:
+        raise ValueError("expected a rank-one form over the same algebra")
+    return u
+
+
+def member(u: MatD | HermitianForm, cone: PositiveCone) -> bool:
+    """Exact membership of a symmetric element u, or of its form <u>, in
+    the cone."""
+    return _rank_one(cone.alg, u).diagonal.in_cone_at(cone.ordering, cone.eps)
 
 
 def psd_up(cone: PositiveCone, ell: int) -> PositiveCone:
@@ -220,22 +230,25 @@ def formally_real(alg: AlgebraWithInvolution) -> bool:
 
 
 def harrison_sigma(
-    alg: AlgebraWithInvolution, elems: Sequence[MatD]
+    alg: AlgebraWithInvolution, elems: Sequence[MatD | HermitianForm]
 ) -> tuple[PositiveCone, ...]:
-    """All cones containing every listed symmetric element."""
-    rs = [reduced_diagonal(rank_one(alg, a)) for a in elems]
+    """All cones containing every listed symmetric element (each given as
+    u or as <u>)."""
+    rs = [_rank_one(alg, a).diagonal for a in elems]
     cones = enumerate_cones(alg)
     return tuple(k for k in cones if all(r.in_cone_at(k.ordering, k.eps) for r in rs))
 
 
 def is_maximal_on(
-    alg: AlgebraWithInvolution, u: MatD, orderings_subset: Iterable[int]
+    alg: AlgebraWithInvolution,
+    u: MatD | HermitianForm,
+    orderings_subset: Iterable[int],
 ) -> bool:
-    """True when u attains the maximal signature at every listed ordering;
-    each one must be non-nil (else OrderingNotInXTilde)."""
+    """True when u (or its form <u>) attains the maximal signature at every
+    listed ordering; each one must be non-nil (else OrderingNotInXTilde)."""
     ys, good = tuple(orderings_subset), x_tilde(alg)
     for p in ys:
         if p not in good:
             raise OrderingNotInXTilde(f"ordering {p} is nil or invalid")
-    res = reduced_diagonal(rank_one(alg, u))
+    res = _rank_one(alg, u).diagonal
     return all(res.in_cone_at(p) for p in ys)

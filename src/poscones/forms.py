@@ -39,8 +39,6 @@ __all__ = [
     "times",
     "tensor",
     "scale_form",
-    "nonsingular_part",
-    "morita_diag_rep",
     "weakly_represents",
     "WeakRepResult",
 ]
@@ -71,7 +69,7 @@ class QuadraticFormF:
 class HermitianForm:
     """Hermitian form over an algebra with involution, by Gram matrix."""
 
-    __slots__ = ("alg", "rank", "gram", "_reduced")
+    __slots__ = ("alg", "rank", "gram", "_reduced", "_diagonal")
 
     def __init__(
         self,
@@ -89,6 +87,7 @@ class HermitianForm:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "_reduced", None)
+        object.__setattr__(self, "_diagonal", None)
         if not _checked and not self.reduced.is_theta_hermitian():
             raise NotHermitian("gram is not sigma-hermitian")
 
@@ -102,6 +101,16 @@ class HermitianForm:
         if self._reduced is None:
             object.__setattr__(self, "_reduced", self.alg.reduce(self.gram))
         return self._reduced
+
+    @property
+    def diagonal(self) -> DiagonalizationResult:
+        """Verified diagonalization of the reduction, computed at most once;
+        every signature, cone and maximality answer about h reads it."""
+        if self._diagonal is None:
+            object.__setattr__(
+                self, "_diagonal", diagonalize(self.reduced, _checked=True)
+            )
+        return self._diagonal
 
     def block(self, i: int, j: int) -> MatD:
         ell = self.alg.ell
@@ -351,62 +360,6 @@ def scale_form(c: MatD, h: HermitianForm) -> HermitianForm:
     return HermitianForm(new_alg, h.rank, gram, _checked=True)
 
 
-# -- decomposition into nonsingular part plus zero form ----------------------
-
-
-def nonsingular_part(h: HermitianForm) -> tuple[HermitianForm, int]:
-    """Split h as (part, zero rank): h is isometric to part + the zero form.
-
-    The reduction of h to the base division algebra is diagonalized; its
-    m nonzero entries, padded with zeros up to a multiple of ell, are
-    pulled back to a diagonal form over the original algebra.  The part
-    is nonsingular only when ell divides m; otherwise it carries (-m) mod
-    ell zero entries over D, e.g. <diag(1, 0)> over M_2(Q) comes back
-    unchanged with zero rank 0.  When h is already nonsingular it is
-    returned unchanged.
-    """
-    from .morita import reduced_diagonal
-
-    alg = h.alg
-    ell = alg.ell
-    res = reduced_diagonal(h)
-    nonzero = [e for e in res.entries if not e.is_zero()]
-    zeros = len(res.entries) - len(nonzero)
-    if zeros == 0:
-        return h, 0
-    m = len(nonzero)
-    padded = m + (-m) % ell
-    blocks = []
-    for start in range(0, padded, ell):
-        chunk = nonzero[start : start + ell]
-        chunk = chunk + [alg.field.zero()] * (ell - len(chunk))
-        diag = MatD.diagonal(alg.div, [alg.div.from_field(c) for c in chunk])
-        blocks.append(alg.phi * diag)
-    ns = diag_form(alg, blocks)
-    return ns, h.rank - ns.rank
-
-
-# -- scaled diagonal representation ------------------------------------------
-
-
-def morita_diag_rep(h: HermitianForm) -> tuple[MatD, ...]:
-    """Coefficients a_1, ..., a_m with ell x h isometric to <a_1, ..., a_m>.
-
-    m = ell * rank(h); each a_i is a symmetric element of A, invertible or
-    zero.  The list is obtained by reducing h to the base division algebra,
-    diagonalizing with a verified witness, and pulling each diagonal value
-    u back to u * phi.  The reduction of <u * phi> is <u, ..., u> (ell
-    copies), so both sides reduce to ell copies of the same diagonal.
-    """
-    from .morita import reduced_diagonal
-
-    alg = h.alg
-    return tuple(
-        alg.phi.scale_field(u) if not u.is_zero() else alg.zero()
-        for u in reduced_diagonal(h).entries
-    )
-
-
 # -- weak representation by a formula ----------------------------------------
 
 
@@ -472,15 +425,12 @@ def weakly_represents(h: HermitianForm, u: MatD) -> WeakRepResult:
     nonzero e_c is such a combination; otherwise it is "unknown".  u must
     be sigma-symmetric.
     """
-    from .morita import reduced_diagonal
-
     alg, ell = h.alg, h.alg.ell
     target = rank_one(alg, u)  # validates u before the zero shortcut
     if u.is_zero():
         return WeakRepResult("yes", 1, MatD.zeros(alg.div, h.rank * ell, ell))
 
-    res = reduced_diagonal(h)
-    tres = reduced_diagonal(target)
+    res, tres = h.diagonal, target.diagonal
     gens = [(j, i, d * c) for i, c in enumerate(alg.div.norm_form())
             for j, d in enumerate(res.entries) if not d.is_zero()]
     used = [0] * len(res.entries)  # copies of each slot filled so far

@@ -9,8 +9,9 @@ Two elementary moves compose into the full reduction:
 
 expand is the inverse of collapse; full_reduction = collapse o
 scale_involution takes any form down to (D, theta), and
-reduced_diagonal diagonalizes that reduction once: every signature,
-cone and maximality question about a form reads its signs from it.
+reduced_diagonal is the verified diagonalization of that reduction, made
+once per form object and cached on it: every signature, cone and
+maximality question about a form reads its signs from it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 
 from .algebra import AlgebraWithInvolution, MatD
 from .errors import RankNotDivisible
-from .forms import DiagonalizationResult, HermitianForm, diagonalize
+from .forms import DiagonalizationResult, HermitianForm
 
 __all__ = [
     "theta_algebra",
@@ -79,6 +80,6 @@ def full_reduction(h: HermitianForm) -> HermitianForm:
 
 
 def reduced_diagonal(h: HermitianForm) -> DiagonalizationResult:
-    """The verified diagonalization of the reduction of h to (D, theta);
-    h validated that reduction when it was built."""
-    return diagonalize(h.reduced, _checked=True)
+    """The verified diagonalization of the reduction of h to (D, theta),
+    made at most once per form object (HermitianForm.diagonal)."""
+    return h.diagonal

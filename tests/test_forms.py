@@ -22,8 +22,6 @@ from poscones import (
     diag_form,
     diagonalize,
     direct_sum,
-    morita_diag_rep,
-    nonsingular_part,
     parse_elem,
     rank_one,
     scale_form,
@@ -256,28 +254,6 @@ class TestConstructors:
             scale_form(qmat([[0, 1], [0, 0]]), unit_form(alg))
         with pytest.raises(Singular):
             scale_form(qmat([[1, 1], [1, 1]]), unit_form(alg))
-
-    def test_nonsingular_part(self):
-        alg = zoo_algebra("split-q-1")
-        h = diag_form(alg, [qmat([[1]]), qmat([[0]]), qmat([[-1]])])
-        ns, nullity = nonsingular_part(h)
-        assert nullity == 1
-        assert ns.rank == 2
-        assert sign_eta(ns, 0) == 0
-        # one nonzero reduced entry is padded to a whole ell = 2 block, so
-        # the part is singular: ell does not divide the reduced rank 1
-        alg = zoo_algebra("split-q-2")
-        h = rank_one(alg, qmat([[1, 0], [0, 0]]))
-        ns, nullity = nonsingular_part(h)
-        assert (ns, nullity) == (h, 0)
-        assert diagonalize(ns.gram).rank == 1
-
-    def test_morita_diag_rep(self):
-        alg = zoo_algebra("split-q-2")
-        h = rank_one(alg, qmat([[3, 0], [0, 5]]))
-        rep = morita_diag_rep(h)
-        assert rep == (MatD.scalar(SPLIT, 3, 2), MatD.scalar(SPLIT, 5, 2))
-        assert diag_form(alg, list(rep)).rank == 2
 
 
 class TestWeakRepresentation:

@@ -25,7 +25,9 @@ from poscones import (
     x_tilde,
     zoo_algebra,
 )
+from poscones.cli import COMMANDS, _run_problem
 from poscones.sampling import rand_hermitian_form_gram
+from poscones.serde import algebra_to_json, form_to_json, matd_to_json
 
 SPLIT = DivisionAlgebraDesc(FieldDesc(), "split")
 
@@ -157,3 +159,50 @@ def test_one_hermitian_check_per_element(monkeypatch):
     checks = _count_calls(monkeypatch, MatD, "is_theta_hermitian")
     assert member(alg.phi, cone)
     assert len(checks) == 1
+
+
+def test_one_diagonalization_per_named_object_in_a_problem_file(monkeypatch):
+    # Split M_2 over Q(sqrt(5)) with two non-nil orderings; every element is
+    # asked several questions, and both forms by sign, diag and presylvester.
+    div = DivisionAlgebraDesc(FieldDesc(5), "split")
+    alg = AlgebraWithInvolution(2, div, MatD.identity(div, 2))
+    gram = rand_hermitian_form_gram(random.Random(1), alg, 2, nonsingular=True)
+    u = alg.identity()
+    problem = {
+        "schema": "1",
+        "algebra": algebra_to_json(alg),
+        "forms": {
+            "h": form_to_json(HermitianForm(alg, 2, gram)),
+            "one": form_to_json(rank_one(alg, u)),
+        },
+        "elements": {
+            "u": matd_to_json(u),
+            "v": matd_to_json(MatD(div, [[div.from_field(x) for x in r]
+                                         for r in ((1, 2), (2, -3))])),
+            "w": matd_to_json(u.scale_field(div.base.elem(4))),
+        },
+        "tasks": [{"command": "classify"}, {"command": "cones"}]
+        + [{"command": c, "form": f} for c in ("sign", "diag", "collapse")
+           for f in ("h", "one")]
+        + [{"command": "presylvester", "form": f, "ordering": p}
+           for f in ("h", "one") for p in ("P0", "P1")]
+        + [{"command": "member", "element": e, "ordering": p, "eps": eps}
+           for e in ("u", "v", "w") for p in ("P0", "P1") for eps in (1, -1)]
+        + [{"command": "maximal-on", "element": e, "orderings": ys}
+           for e in ("u", "v", "w") for ys in (["P0"], ["P1"], ["P0", "P1"])]
+        + [{"command": "hsigma", "elements": ["u", "v", "w"]},
+           {"command": "hsigma", "elements": ["v"]}]
+        + [{"command": "posinv", "ordering": p} for p in ("P0", "P1")]
+        + [{"command": "weakrep", "form": "one", "element": "w"}],
+    }
+    assert {t["command"] for t in problem["tasks"]} == set(COMMANDS)
+    verified = _count_calls(monkeypatch, poscones.forms, "_verify_diagonalization")
+    _run_problem(problem)
+    # 2 forms + 3 elements, one trace form per posinv, weakrep's target <w>
+    assert len(verified) == 2 + 3 + 2 + 1
+
+
+def test_the_diagonal_is_made_once_per_form():
+    alg = zoo_algebra("quat-rt2-2")
+    h = HermitianForm(alg, 2, rand_hermitian_form_gram(random.Random(2), alg, 2))
+    assert h.diagonal is h.diagonal is reduced_diagonal(h)

@@ -41,6 +41,7 @@ from poscones.serde import (
 )
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+DATA = Path(__file__).resolve().parent / "data"
 UNIT_FORM_2 = '{"rank":1,"gram":[[[[["1"],["0"]],[["0"],["1"]]]]]}'
 INDEF_ELEMENT = '[[["1"],["0"]],[["0"],["-1"]]]'
 IDENT_ELEMENT = '[[["1"],["0"]],[["0"],["1"]]]'
@@ -430,6 +431,49 @@ class TestProblemFiles:
         assert main(["run", json.dumps({"schema": "1", "tasks": []})]) == 2
         assert main(["run", json.dumps({"schema": "1", "zoo": "split-q-1"})]) == 2
 
+    @pytest.mark.parametrize("stem", ["every-command", "every-command-untwisted"])
+    def test_answers_match_the_recorded_output(self, capsys, stem):
+        # every task command; the .out.json files were written before the
+        # forms and elements cached their reduced diagonals
+        problem = DATA / f"{stem}.json"
+        assert main(["run", str(problem), "--json"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == (DATA / f"{stem}.out.json").read_text()
+
+    @pytest.mark.parametrize(
+        "task",
+        [
+            {"command": "member", "element": "bad", "ordering": "P0"},
+            {"command": "hsigma", "elements": ["one", "bad"]},
+        ],
+    )
+    def test_non_symmetric_element_fails_its_task(self, capsys, task):
+        # [[0, 1], [1, 0]] is not symmetric for the twist phi = diag(1, -1)
+        problem = {
+            "schema": "1",
+            "zoo": "split-q-2-indef",
+            "elements": {"one": json.loads(IDENT_ELEMENT),
+                         "bad": [[["0"], ["1"]], [["1"], ["0"]]]},
+            "tasks": [{"command": "cones"}, task],
+        }
+        assert main(["run", json.dumps(problem)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: task 1 ({task['command']}): ")
+
+    def test_unused_non_symmetric_element_is_no_error(self, capsys):
+        problem = {
+            "schema": "1",
+            "zoo": "split-q-2-indef",
+            "elements": {"phi": json.loads(INDEF_ELEMENT),
+                         "bad": [[["0"], ["1"]], [["1"], ["0"]]]},
+            "tasks": [{"command": "member", "element": "phi", "ordering": "P0"}],
+        }
+        assert main(["run", json.dumps(problem)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_unknown_task_reference(self, capsys):
         problem = {
             "schema": "1",
@@ -496,8 +540,27 @@ class TestSelftest:
         assert main(["selftest", "--scale", "0.01"]) == 0
         lines = capsys.readouterr().out.splitlines()[1:]
         assert len(lines) == 10
-        assert all(re.fullmatch(r"criterion +\d+  PASS  .+  \(\d+\.\ds\)", x)
+        assert all(re.fullmatch(r"criterion +\d+  PASS  .+  \(\d+\.\ds\)  \S.*", x)
                    for x in lines)
+
+    def test_text_lines_carry_the_detail(self, capsys, monkeypatch):
+        def broken(seed, scale):
+            raise InternalInvariantViolation("broken on purpose")
+
+        monkeypatch.setattr(
+            poscones.acceptance, "CRITERIA", (broken, poscones.acceptance.criterion_10)
+        )
+        assert main(["selftest"]) == 1
+        first, second = capsys.readouterr().out.splitlines()[1:]
+        assert re.fullmatch(
+            r"criterion  1  FAIL  .+  \(\d+\.\ds\)  raised InternalInvariantViolation: "
+            r"broken on purpose \(in broken, line \d+\)",
+            first,
+        )
+        detail = poscones.acceptance.criterion_10(0, 1.0).detail
+        assert second.startswith("criterion 10  PASS  ") and second.endswith(
+            f"s)  {detail}"
+        )
 
     def test_a_raising_criterion_fails_and_the_rest_still_run(
         self, capsys, monkeypatch
