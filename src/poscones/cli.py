@@ -247,7 +247,7 @@ def _maximal_on(alg, t):
     "weakrep", "build a weak representation of an element by a form", "form element"
 )
 def _weakrep(alg, t):
-    res = weakly_represents(t["form"], t["element"].gram)
+    res = weakly_represents(t["form"], t["element"])
     found = res.status == "yes"
     payload: dict[str, Any] = {"status": res.status}
     lines = [f"status {res.status}"]

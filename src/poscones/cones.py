@@ -26,7 +26,7 @@ from .errors import (
     OrderingNotInXTilde,
     Singular,
 )
-from .forms import HermitianForm, rank_one
+from .forms import HermitianForm, _rank_one, rank_one
 from .morita import base_algebra, reduced_diagonal, standard_algebra
 from .orders import classify, x_tilde
 from .signature import is_positive_involution
@@ -76,16 +76,6 @@ def enumerate_cones(alg: AlgebraWithInvolution) -> tuple[PositiveCone, ...]:
         out.append(PositiveCone(alg, p, 1))
         out.append(PositiveCone(alg, p, -1))
     return tuple(out)
-
-
-def _rank_one(alg: AlgebraWithInvolution, u: MatD | HermitianForm) -> HermitianForm:
-    """<u> for a symmetric element u; a form given in its place is used as
-    given, so a caller that keeps <u> diagonalizes it once for every query."""
-    if not isinstance(u, HermitianForm):
-        return rank_one(alg, u)
-    if u.alg != alg or u.rank != 1:
-        raise ValueError("expected a rank-one form over the same algebra")
-    return u
 
 
 def member(u: MatD | HermitianForm, cone: PositiveCone) -> bool:

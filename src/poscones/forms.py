@@ -6,9 +6,11 @@ matrix.  Block (j, i) must equal sigma applied to block (i, j).
 
 Diagonalization works by symmetric congruence pivoting over the division
 algebra: theta_t(G) * H * G = diag(entries) with G invertible, computed
-and verified in exact arithmetic.  Nonzero diagonal entries always lie in
-the symmetric elements of D, which is the base field, so they are
-returned as field elements; zero entries are moved to the end.
+in exact arithmetic by a hermitian rank-one update of the trailing block
+after each pivot, and verified in full by multiplying the identity out.
+Nonzero diagonal entries always lie in the symmetric elements of D, which
+is the base field, so they are returned as field elements; zero entries
+are moved to the end.
 """
 
 from __future__ import annotations
@@ -181,8 +183,13 @@ def diagonalize(
     pivot search order ("first" or "last") and never changes rank or, at
     any ordering where signatures are defined, the entry sign counts.
 
-    _checked skips the NotHermitian test for a Gram the caller validated;
-    the verified identity with an invertible G implies it anyway.
+    A pivot a = w_pp updates the upper triangle of the trailing block by
+    w_rs += theta(x_r) * w_ps, x_r = -a^-1 * w_pr, mirrored below, and G
+    gains G[:, p] * x_r in column r: about n^3/3 products of D in all.
+
+    _checked skips the NotHermitian test for a Gram the caller validated.
+    The mirroring assumes a hermitian input: anything else fails the full
+    identity check and raises InternalInvariantViolation.
     """
     if strategy not in ("first", "last"):
         raise ValueError(f"unknown pivot strategy {strategy!r}")
@@ -194,29 +201,20 @@ def diagonalize(
     g = [list(r) for r in MatD.identity(alg, n).entries]
     last = strategy == "last"
 
-    def col_op(i: int, j: int, x: DElem) -> None:
-        # col_i += col_j * x on both the working matrix and the witness,
-        # then the mirroring row_i += theta(x) * row_j on the working matrix
-        xt = x.theta()
-        for r in range(n):
-            work[r][i] = work[r][i] + work[r][j] * x
-            g[r][i] = g[r][i] + g[r][j] * x
-        for c in range(n):
-            work[i][c] = work[i][c] + xt * work[j][c]
-
     def swap(i: int, j: int) -> None:
         for r in range(n):
             work[r][i], work[r][j] = work[r][j], work[r][i]
             g[r][i], g[r][j] = g[r][j], g[r][i]
         work[i], work[j] = work[j], work[i]
 
+    # step p works on the hermitian block from p on and leaves row p stale
     for p in range(n):
         idx = range(p, n) if not last else range(n - 1, p - 1, -1)
         piv = next((i for i in idx if not work[i][i].is_zero()), None)
         if piv is None:
             # all remaining diagonal entries vanish; manufacture a pivot
-            # from a nonzero off-diagonal entry b via col_i += col_j*theta(b),
-            # which lands 2*nrd(b) != 0 on the diagonal
+            # from a nonzero off-diagonal entry b via col_i += col_j*theta(b)
+            # and row_i += b*row_j, which lands 2*nrd(b) != 0 on the diagonal
             offs = [
                 (i, j)
                 for i in range(p, n)
@@ -226,15 +224,36 @@ def diagonalize(
             if not offs:
                 break  # remaining block is zero
             i, j = offs[-1] if last else offs[0]
-            col_op(i, j, work[i][j].theta())
+            wi, wj, x = work[i], work[j], work[i][j].theta()
+            d = wi[j] * x + x.theta() * wj[i]  # as w_ii = w_jj = 0
+            if d.is_zero():
+                raise InternalInvariantViolation("manufactured pivot vanished")
+            for r in range(p, n):
+                if r != i and work[r][j]:
+                    work[r][i] = work[r][i] + work[r][j] * x
+                    wi[r] = work[r][i].theta()
+            wi[i] = d
+            for row in g:
+                if row[j]:
+                    row[i] = row[i] + row[j] * x
             piv = i
         if piv != p:
             swap(piv, p)
-        a = work[p][p]
-        a_inv = a.inverse()
-        for r in range(p + 1, n):
-            if not work[p][r].is_zero():
-                col_op(r, p, -(a_inv * work[p][r]))
+        # col_r += col_p * x_r and row_r += theta(x_r) * row_p for r > p
+        wp = work[p]
+        a_inv = wp[p].inverse()
+        support = [r for r in range(p + 1, n) if wp[r]]
+        xs = [-(a_inv * wp[r]) for r in support]
+        for k, r in enumerate(support):
+            wr, xt = work[r], xs[k].theta()
+            wr[r] = wr[r] + xt * wp[r]
+            for s in support[k + 1 :]:
+                wr[s] = wr[s] + xt * wp[s]
+                work[s][r] = wr[s].theta()
+        for row in g:
+            if row[p]:
+                for r, x in zip(support, xs):
+                    row[r] = row[r] + row[p] * x
 
     # move zero diagonal entries to the end by a symmetric permutation
     order = [i for i in range(n) if not work[i][i].is_zero()] + [
@@ -304,6 +323,16 @@ def diag_form(alg: AlgebraWithInvolution, elems: Sequence[MatD]) -> HermitianFor
 def rank_one(alg: AlgebraWithInvolution, a: MatD) -> HermitianForm:
     """The form <a> of rank one."""
     return diag_form(alg, [a])
+
+
+def _rank_one(alg: AlgebraWithInvolution, u: MatD | HermitianForm) -> HermitianForm:
+    """<u> for a symmetric element u; a form given in its place is used as
+    given, so a caller that keeps <u> diagonalizes it once for every query."""
+    if not isinstance(u, HermitianForm):
+        return rank_one(alg, u)
+    if u.alg != alg or u.rank != 1:
+        raise ValueError("expected a rank-one form over the same algebra")
+    return u
 
 
 def unit_form(alg: AlgebraWithInvolution) -> HermitianForm:
@@ -408,7 +437,7 @@ def _combinations(e: FieldElem, gens: list) -> Iterator[list]:
                     yield [(j1, i1, _squares(l1)), (j2, i2, _squares(l2))]
 
 
-def weakly_represents(h: HermitianForm, u: MatD) -> WeakRepResult:
+def weakly_represents(h: HermitianForm, u: MatD | HermitianForm) -> WeakRepResult:
     """Build x with (m x h)(x, x) == u from a formula, with no search.
 
     The reductions of h and <u> to (D, theta) diagonalize to <d_j> and
@@ -423,10 +452,12 @@ def weakly_represents(h: HermitianForm, u: MatD) -> WeakRepResult:
 
     The answer is "yes", with a re-checked witness, exactly when every
     nonzero e_c is such a combination; otherwise it is "unknown".  u must
-    be sigma-symmetric.
+    be sigma-symmetric; given as its form <u>, it is used as given, so its
+    diagonal is shared with every other query on <u>.
     """
     alg, ell = h.alg, h.alg.ell
-    target = rank_one(alg, u)  # validates u before the zero shortcut
+    target = _rank_one(alg, u)  # validates u before the zero shortcut
+    u = target.gram
     if u.is_zero():
         return WeakRepResult("yes", 1, MatD.zeros(alg.div, h.rank * ell, ell))
 

@@ -198,8 +198,9 @@ def test_one_diagonalization_per_named_object_in_a_problem_file(monkeypatch):
     assert {t["command"] for t in problem["tasks"]} == set(COMMANDS)
     verified = _count_calls(monkeypatch, poscones.forms, "_verify_diagonalization")
     _run_problem(problem)
-    # 2 forms + 3 elements, one trace form per posinv, weakrep's target <w>
-    assert len(verified) == 2 + 3 + 2 + 1
+    # 2 forms + 3 elements and one trace form per posinv; weakrep reads the
+    # diagonal of <w> that member made
+    assert len(verified) == 2 + 3 + 2
 
 
 def test_the_diagonal_is_made_once_per_form():
