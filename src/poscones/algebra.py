@@ -234,6 +234,11 @@ class DElem:
             return NotImplemented
         return o * self
 
+    def scale(self, c: FieldElem) -> "DElem":
+        """c * self for a base-field c, which is central: one field product
+        per coordinate instead of a product of D."""
+        return _unsafe_d(self.alg, tuple(x * c for x in self.coords))
+
     def theta(self) -> "DElem":
         """Canonical involution of D (identity / conjugation)."""
         if self.alg.kind == "split":

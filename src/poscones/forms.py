@@ -7,7 +7,10 @@ matrix.  Block (j, i) must equal sigma applied to block (i, j).
 Diagonalization works by symmetric congruence pivoting over the division
 algebra: theta_t(G) * H * G = diag(entries) with G invertible, computed
 in exact arithmetic by a hermitian rank-one update of the trailing block
-after each pivot, and verified in full by multiplying the identity out.
+after each pivot.  The elimination also tracks L = G^-1, and the result
+is verified in full through it: G * L == I, then
+theta_t(L) * diag(entries) * L == H, of which only one triangle is
+computed because that product is hermitian.
 Nonzero diagonal entries always lie in the symmetric elements of D, which
 is the base field, so they are returned as field elements; zero entries
 are moved to the end.
@@ -153,10 +156,12 @@ class HermitianForm:
 
 @dataclass(frozen=True)
 class DiagonalizationResult:
-    """G and entries with theta_t(G) * H * G = diag(entries) exactly."""
+    """G and entries with theta_t(G) * H * G = diag(entries) exactly, and
+    the inverse L = G^-1 through which _verify_diagonalization proves it."""
 
     witness: MatD
     entries: tuple[FieldElem, ...]
+    inverse: MatD | None = None
 
     @property
     def rank(self) -> int:
@@ -186,10 +191,15 @@ def diagonalize(
     A pivot a = w_pp updates the upper triangle of the trailing block by
     w_rs += theta(x_r) * w_ps, x_r = -a^-1 * w_pr, mirrored below, and G
     gains G[:, p] * x_r in column r: about n^3/3 products of D in all.
+    The inverse L = G^-1 follows each step on its rows (row p loses
+    sum x_r * row r), where rows not yet pivoted are permutation rows
+    unless a manufactured pivot touched them, so tracking L costs almost
+    no products.  The result carries L, and the identity is checked
+    through it in about n^3/3 more products.
 
     _checked skips the NotHermitian test for a Gram the caller validated.
-    The mirroring assumes a hermitian input: anything else fails the full
-    identity check and raises InternalInvariantViolation.
+    The mirroring assumes a hermitian input: anything else fails the
+    check against every entry of H and raises InternalInvariantViolation.
     """
     if strategy not in ("first", "last"):
         raise ValueError(f"unknown pivot strategy {strategy!r}")
@@ -199,6 +209,8 @@ def diagonalize(
     n = h.rows
     work = [list(r) for r in h.entries]
     g = [list(r) for r in MatD.identity(alg, n).entries]
+    one = alg.one()
+    inv = [{r: one} for r in range(n)]  # rows of L = G^-1 by their support
     last = strategy == "last"
 
     def swap(i: int, j: int) -> None:
@@ -206,6 +218,15 @@ def diagonalize(
             work[r][i], work[r][j] = work[r][j], work[r][i]
             g[r][i], g[r][j] = g[r][j], g[r][i]
         work[i], work[j] = work[j], work[i]
+        inv[i], inv[j] = inv[j], inv[i]
+
+    def sub_rows(k: int, pairs) -> None:
+        # row k of L -= x * row r for each (r, x); a factor one is not multiplied
+        lk = inv[k]
+        for r, x in pairs:
+            for c, v in inv[r].items():
+                t = x if v is one else x * v
+                lk[c] = lk[c] - t if c in lk else -t
 
     # step p works on the hermitian block from p on and leaves row p stale
     for p in range(n):
@@ -236,6 +257,7 @@ def diagonalize(
             for row in g:
                 if row[j]:
                     row[i] = row[i] + row[j] * x
+            sub_rows(j, [(i, x)])
             piv = i
         if piv != p:
             swap(piv, p)
@@ -254,6 +276,7 @@ def diagonalize(
             if row[p]:
                 for r, x in zip(support, xs):
                     row[r] = row[r] + row[p] * x
+        sub_rows(p, zip(support, xs))
 
     # move zero diagonal entries to the end by a symmetric permutation
     order = [i for i in range(n) if not work[i][i].is_zero()] + [
@@ -266,43 +289,49 @@ def diagonalize(
             raise InternalInvariantViolation("non-scalar diagonal entry")
         entries.append(e.scalar())
     witness = MatD(alg, [[g[r][c] for c in order] for r in range(n)])
+    zero = alg.zero()
+    inverse = MatD(alg, [[inv[r].get(c, zero) for c in range(n)] for r in order])
 
-    result = DiagonalizationResult(witness, tuple(entries))
+    result = DiagonalizationResult(witness, tuple(entries), inverse)
     _verify_diagonalization(h, result)
     return result
 
 
 def _verify_diagonalization(h: MatD, res: DiagonalizationResult) -> None:
-    """Check theta_t(G) * H * G == diag(entries) and that G is invertible.
+    """Prove theta_t(G) * H * G == diag(entries) with G invertible, via L.
 
-    With no zero entry the identity alone proves G invertible.  Otherwise
-    the k trailing (radical) columns G_k must have full column rank: if
-    G v == 0, the identity makes v vanish at the nonzero entries and the
-    rank of G_k makes the rest vanish (so H * G_k == 0 needs no check).
+    First G * L == I, which makes G invertible with L = G^-1 (a one-sided
+    inverse of a square matrix over a division ring is two-sided).  Then
+    theta_t(L) * diag(entries) * L == H, so that theta_t(G) * H * G is
+    theta_t(L G) * diag(entries) * (L G) = diag(entries).  The second
+    product is hermitian by algebra, as the entries are central and
+    symmetric: only its entries with i <= j are computed, each compared
+    with H_ij and its theta with H_ji, so every entry of H is tested.
     """
-    g = res.witness
-    expected = MatD.diagonal(h.alg, [h.alg.from_field(e) for e in res.entries])
-    if g.theta_t() * h * g != expected:
-        raise InternalInvariantViolation("diagonalization identity failed")
-    k = len(res.entries) - res.rank
-    if k and not _has_full_column_rank(g.submatrix(0, g.cols - k, g.rows, k)):
-        raise InternalInvariantViolation("diagonalization witness is singular")
-
-
-def _has_full_column_rank(m: MatD) -> bool:
-    """True when m * v == 0 only for v == 0, by row elimination over D."""
-    rows = [list(r) for r in m.entries]
-    for c in range(m.cols):
-        i = next((i for i, r in enumerate(rows) if not r[c].is_zero()), None)
-        if i is None:
-            return False
-        piv = rows.pop(i)
-        inv = piv[c].inverse()
-        for r in rows:
-            if not r[c].is_zero():
-                f = r[c] * inv
-                r[c:] = [x - f * y for x, y in zip(r[c:], piv[c:])]
-    return True
+    g, inv, d = res.witness, res.inverse, res.entries
+    if inv is None:
+        raise InternalInvariantViolation("diagonalization carries no inverse")
+    alg, n = h.alg, h.rows
+    if (g.rows, g.cols, inv.rows, inv.cols, len(d)) != (n,) * 5:
+        raise InternalInvariantViolation("diagonalization has the wrong shape")
+    if g * inv != MatD.identity(alg, n):
+        raise InternalInvariantViolation("diagonalization inverse failed")
+    zero = alg.zero()
+    s = [[zero] * n for _ in range(n)]
+    for e, row in zip(d, inv.entries):
+        if e.is_zero():
+            continue
+        nz = [(c, x) for c, x in enumerate(row) if x]
+        scaled = [(c, x.scale(e)) for c, x in nz]  # row k of diag(entries) * L
+        for a, (i, x) in enumerate(nz):
+            xt, si = x.theta(), s[i]
+            for j, y in scaled[a:]:
+                si[j] = si[j] + xt * y
+    hr = h.entries
+    for i in range(n):
+        for j in range(i, n):
+            if s[i][j] != hr[i][j] or (j > i and s[i][j].theta() != hr[j][i]):
+                raise InternalInvariantViolation("diagonalization identity failed")
 
 
 # -- constructors ------------------------------------------------------------
@@ -484,7 +513,7 @@ def weakly_represents(h: HermitianForm, u: MatD | HermitianForm) -> WeakRepResul
     for k, j, col, i, q in placed:
         coords[k * n + j][col][i] = alg.field.elem(q)
     sel = MatD(alg.div, [[DElem(alg.div, tuple(c)) for c in row] for row in coords])
-    x = MatD.block_diag([res.witness] * m) * sel * tres.witness.inverse()
+    x = MatD.block_diag([res.witness] * m) * sel * tres.inverse
     if times(m, h).evaluate(x, x) != u:
         raise InternalInvariantViolation("weak representation witness failed its check")
     return WeakRepResult("yes", m, x)

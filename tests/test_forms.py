@@ -1,5 +1,6 @@
 """Hermitian forms, congruence diagonalization, and form constructors."""
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -82,17 +83,37 @@ class TestDiagonalize:
         res = diagonalize(h)
         rows = [list(r) for r in res.witness.entries]
         rows[0][1] = rows[1][1] = SPLIT.zero()
-        broken = DiagonalizationResult(MatD(SPLIT, rows), res.entries)
-        # the identity still holds, so only the invertibility proof fails
+        broken = dataclasses.replace(res, witness=MatD(SPLIT, rows))
+        # theta_t(G) H G == diag(entries) still holds for the singular G, and
+        # theta_t(L) diag(entries) L == H for the inverse it carries, so only
+        # the G * L == I step can refuse it
         assert broken.witness.theta_t() * h * broken.witness == qmat([[1, 0], [0, 0]])
-        with pytest.raises(InternalInvariantViolation):
+        lhs = res.inverse.theta_t() * qmat([[1, 0], [0, 0]]) * res.inverse
+        assert lhs == h
+        with pytest.raises(InternalInvariantViolation, match="inverse failed"):
             _verify_diagonalization(h, broken)
 
     def test_dependent_radical_columns_are_caught(self):
         h = MatD.zeros(SPLIT, 2, 2)
-        broken = DiagonalizationResult(qmat([[1, 1], [0, 0]]), (Q.elem(0),) * 2)
-        with pytest.raises(InternalInvariantViolation):
+        res = diagonalize(h)
+        assert res.inverse == MatD.identity(SPLIT, 2)
+        broken = dataclasses.replace(res, witness=qmat([[1, 1], [0, 0]]))
+        with pytest.raises(InternalInvariantViolation, match="inverse failed"):
             _verify_diagonalization(h, broken)
+
+    def test_missing_inverse_is_refused(self):
+        h = qmat([[2, 1], [1, 1]])
+        res = diagonalize(h)
+        with pytest.raises(InternalInvariantViolation, match="no inverse"):
+            _verify_diagonalization(h, DiagonalizationResult(res.witness, res.entries))
+
+    def test_truncated_entries_are_refused(self):
+        # with G = L = I, theta_t(L) <1> L would match H on the one row it covers
+        h = qmat([[1, 0], [0, 0]])
+        res = diagonalize(h)
+        assert res.inverse == res.witness == MatD.identity(SPLIT, 2)
+        with pytest.raises(InternalInvariantViolation, match="wrong shape"):
+            _verify_diagonalization(h, dataclasses.replace(res, entries=res.entries[:1]))
 
     def test_zero_matrix(self):
         res = diagonalize(MatD.zeros(SPLIT, 3, 3))
@@ -262,6 +283,46 @@ class TestReferenceElimination:
             for strategy in ("first", "last"):
                 with pytest.raises(InternalInvariantViolation):
                     diagonalize(m, strategy, _checked=True)
+
+
+def bumped(m, i, j, x):
+    """m with x added to its entry (i, j)."""
+    rows = [list(r) for r in m.entries]
+    rows[i][j] = rows[i][j] + x
+    return MatD(m.alg, rows)
+
+
+class TestInverseWitness:
+    """diagonalize returns L = G^-1, and the check fails on any one change to
+    L, to G or to the entries."""
+
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_inverse_equals_gauss_jordan(self, name):
+        # MatD.inverse shares no code with diagonalize
+        for h in oracle_inputs(name):
+            for strategy in ("first", "last"):
+                res = diagonalize(h, strategy)
+                assert res.inverse == res.witness.inverse()
+
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_one_changed_entry_is_caught(self, name):
+        div = zoo_algebra(name).div
+        rng = random.Random(f"mutate:{name}")
+        for h in oracle_inputs(name):
+            n = h.rows
+            for strategy in ("first", "last"):
+                res = diagonalize(h, strategy)
+                x = next(y for y in iter(lambda: rand_delem(rng, div), None) if y)
+                i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                entries = list(res.entries)
+                entries[k] = entries[k] + rng.choice((1, -1, Fraction(1, 3)))
+                for broken in (
+                    dataclasses.replace(res, inverse=bumped(res.inverse, i, j, x)),
+                    dataclasses.replace(res, witness=bumped(res.witness, i, j, x)),
+                    dataclasses.replace(res, entries=tuple(entries)),
+                ):
+                    with pytest.raises(InternalInvariantViolation):
+                        _verify_diagonalization(h, broken)
 
 
 class TestKernelFault:
@@ -461,6 +522,17 @@ class TestWeakRepresentation:
         res = weakly_represents(h, u)
         assert time.perf_counter() - start < 1.0
         assert res.status == "yes"
+        assert times(res.copies, h).evaluate(res.witness, res.witness) == u
+
+    def test_reads_the_target_inverse(self, monkeypatch):
+        # the target's diagonalization carries its inverse: no Gauss-Jordan
+        alg = zoo_algebra("quat-q-1")
+        h, u = unit_form(alg), MatD.scalar(alg.div, alg.field.elem(3), 1)
+        calls = []
+        inverse = MatD.inverse
+        monkeypatch.setattr(MatD, "inverse", lambda m: calls.append(m) or inverse(m))
+        res = weakly_represents(h, u)
+        assert res.status == "yes" and calls == []
         assert times(res.copies, h).evaluate(res.witness, res.witness) == u
 
     @pytest.mark.parametrize("name", zoo_names())
