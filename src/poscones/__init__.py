@@ -6,7 +6,7 @@ quadratic fields Q(sqrt(d)):
 * diagonalization of hermitian matrices over split, quadratic and
   quaternion division algebras by congruence, with verified witnesses;
 * reduction of hermitian forms over (M_ell(D), ad_phi) down to the
-  division algebra and back;
+  division algebra (D, theta), made once per form with its diagonal;
 * signatures of forms at the orderings of the base field, maximal
   rank-one signatures, and scalar (Sylvester-style) decompositions;
 * the two positive cones sitting over each non-nil ordering: exact
@@ -42,7 +42,6 @@ from .errors import (
     OrderingNotInXTilde,
     ParseError,
     PosconesError,
-    RankNotDivisible,
     Singular,
     TaskError,
     ZeroArgument,
@@ -71,15 +70,7 @@ from .forms import (
     unit_form,
     weakly_represents,
 )
-from .morita import (
-    base_algebra,
-    collapse,
-    expand,
-    full_reduction,
-    reduced_diagonal,
-    scale_involution,
-    theta_algebra,
-)
+from .morita import full_reduction, standard_algebra
 from .orders import (
     OrderingInfo,
     classify,
@@ -124,21 +115,17 @@ __all__ = [
     "PosconesError",
     "PositiveCone",
     "QuadraticFormF",
-    "RankNotDivisible",
     "Singular",
     "SylvesterDecomposition",
     "TaskError",
     "WeakRepResult",
     "ZeroArgument",
-    "base_algebra",
     "classify",
     "classify_all",
-    "collapse",
     "diag_form",
     "diagonalize",
     "direct_sum",
     "enumerate_cones",
-    "expand",
     "formally_real",
     "format_elem",
     "full_reduction",
@@ -158,15 +145,13 @@ __all__ = [
     "pre_sylvester",
     "psd_up",
     "rank_one",
-    "reduced_diagonal",
     "scale_cone",
     "scale_form",
-    "scale_involution",
     "sign_at",
     "sign_cone",
     "sign_eta",
+    "standard_algebra",
     "tensor",
-    "theta_algebra",
     "times",
     "trace_down",
     "trace_form",

@@ -37,7 +37,7 @@ from .forms import (
     rank_one,
     tensor,
 )
-from .morita import base_algebra, full_reduction, theta_algebra
+from .morita import full_reduction, standard_algebra
 from .orders import classify, orderings_of, x_tilde
 from .sampling import (
     rand_fieldelem,
@@ -108,7 +108,7 @@ def criterion_1(seed: int, scale: float = 1.0) -> CriterionResult:
     for zname, alg in zoo_all().items():
         rng = random.Random(f"{seed}:c1:{zname}")
         div = alg.div
-        base = base_algebra(div)
+        base = standard_algebra(1, div)
         live = [p for p in orderings(div.base) if not classify(base, p).nil]
         for i in range(per_algebra):
             n = 1 + (i % (2 * alg.ell))
@@ -151,8 +151,8 @@ def criterion_2(seed: int, scale: float = 1.0) -> CriterionResult:
         rng = random.Random(f"{seed}:c2:{zname}")
         div = alg.div
         ell = alg.ell
-        base = base_algebra(div)
-        up_alg = theta_algebra(alg)
+        base = standard_algebra(1, div)
+        up_alg = standard_algebra(ell, div)
         for kd in enumerate_cones(base):
             if trace_down(psd_up(kd, ell)) != kd:
                 return CriterionResult(

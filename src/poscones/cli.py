@@ -31,7 +31,7 @@ from .cones import (
 )
 from .errors import ParseError, PosconesError, TaskError
 from .forms import HermitianForm, rank_one, weakly_represents
-from .morita import full_reduction, reduced_diagonal
+from .morita import full_reduction
 from .orders import classify_all, orderings_of, x_tilde
 from .serde import (
     algebra_from_json,
@@ -153,7 +153,7 @@ def _sign(alg, t):
 
 @_command("diag", "diagonalize the reduction of a form", "form")
 def _diag(alg, t):
-    res = reduced_diagonal(t["form"])
+    res = t["form"].diagonal
     payload = {
         "entries": [str(e) for e in res.entries],
         "rank": res.rank,
@@ -348,7 +348,7 @@ def _run_problem(data: Any) -> list:
             out.append((name, *cmd.body(alg, t)))
         except TaskError:
             raise
-        except PosconesError as exc:
+        except (PosconesError, ValueError) as exc:
             raise TaskError(f"task {i} ({name}): {exc}") from exc
     return out
 

@@ -27,9 +27,8 @@ from .errors import (
     Singular,
 )
 from .forms import HermitianForm, _rank_one, rank_one
-from .morita import base_algebra, reduced_diagonal, standard_algebra
+from .morita import standard_algebra
 from .orders import classify, x_tilde
-from .signature import is_positive_involution
 
 __all__ = [
     "PositiveCone",
@@ -96,7 +95,7 @@ def trace_down(cone: PositiveCone) -> PositiveCone:
     """Cone of pairing values down on (D, theta); inverse of psd_up."""
     if not cone.alg.has_standard_involution:
         raise ValueError("going down starts from a conjugate-transpose cone")
-    return PositiveCone(base_algebra(cone.alg.div), cone.ordering, cone.eps)
+    return PositiveCone(standard_algebra(1, cone.alg.div), cone.ordering, cone.eps)
 
 
 def scale_cone(a: MatD, cone: PositiveCone) -> PositiveCone:
@@ -164,7 +163,7 @@ def generated_cone(
     basis, norm = alg.div.basis(), alg.div.norm_form()
     first = {}  # sign at p -> (s, G, i, beta, product): first of that sign
     for s in gens:
-        res = reduced_diagonal(rank_one(alg, s))
+        res = rank_one(alg, s).diagonal
         for i, e in enumerate(res.entries[: res.rank]):
             for beta, c in zip(basis, norm):
                 v = e * c
@@ -200,15 +199,20 @@ def positive_involution_at(
     """Construct b with tau = Int(b) o sigma positive at ordering p.
 
     phi attains the maximal signature at every non-nil ordering (see
-    m_p), so b = phi^-1 works: b * phi = 1, tau is theta_t, and the
-    twisted algebra returned alongside is (M_ell(D), theta_t).  b is
-    certified by is_positive_involution.  Raises NilOrdering when p is
+    m_p), so b = phi^-1 works, and it is certified in closed form: once
+    b * phi == 1 is checked, tau is theta_t, the twisted algebra returned
+    alongside is (M_ell(D), theta_t), and the trace form of tau is
+    <1, ..., 1> (x) T_D (see trace_form), T_D being 1 or 2 times the norm
+    form of D.  So tau is positive at p exactly when every norm-form
+    coefficient is, which is checked too.  Raises NilOrdering when p is
     nil, where no positive involution exists.
     """
     if classify(alg, p).nil:
         raise NilOrdering(f"all signatures vanish at ordering {p}")
     b = alg.phi_inv
-    if not is_positive_involution(alg, b, p):
+    if b * alg.phi != alg.identity():
+        raise InternalInvariantViolation("b * phi is not the identity")
+    if any(c.sign_at(p) != 1 for c in alg.div.norm_form()):
         raise InternalInvariantViolation("constructed involution not positive")
     return b, standard_algebra(alg.ell, alg.div)
 

@@ -39,10 +39,6 @@ class NilOrdering(PosconesError):
     """Operation requires an ordering at which signatures do not vanish."""
 
 
-class RankNotDivisible(PosconesError):
-    """Rank is not divisible by the matrix size of the target algebra."""
-
-
 class OrderingNotInXTilde(PosconesError):
     """An ordering outside the admissible (non-nil) set was supplied."""
 

@@ -10,7 +10,8 @@ in exact arithmetic by a hermitian rank-one update of the trailing block
 after each pivot.  The elimination also tracks L = G^-1, and the result
 is verified in full through it: G * L == I, then
 theta_t(L) * diag(entries) * L == H, of which only one triangle is
-computed because that product is hermitian.
+computed because that product is hermitian.  That check tests every
+entry of H, so H is not scanned for hermitianity before the elimination.
 Nonzero diagonal entries always lie in the symmetric elements of D, which
 is the base field, so they are returned as field elements; zero entries
 are moved to the end.
@@ -112,9 +113,7 @@ class HermitianForm:
         """Verified diagonalization of the reduction, computed at most once;
         every signature, cone and maximality answer about h reads it."""
         if self._diagonal is None:
-            object.__setattr__(
-                self, "_diagonal", diagonalize(self.reduced, _checked=True)
-            )
+            object.__setattr__(self, "_diagonal", diagonalize(self.reduced))
         return self._diagonal
 
     def block(self, i: int, j: int) -> MatD:
@@ -178,9 +177,7 @@ class DiagonalizationResult:
         return all(e.is_zero() or e.sign_at(p) == eps for e in self.entries)
 
 
-def diagonalize(
-    h: MatD, strategy: str = "first", *, _checked: bool = False
-) -> DiagonalizationResult:
+def diagonalize(h: MatD, strategy: str = "first") -> DiagonalizationResult:
     """Diagonalize a theta-hermitian matrix over D by congruence.
 
     Returns G invertible with theta_t(G) * H * G diagonal; nonzero entries
@@ -197,21 +194,34 @@ def diagonalize(
     no products.  The result carries L, and the identity is checked
     through it in about n^3/3 more products.
 
-    _checked skips the NotHermitian test for a Gram the caller validated.
-    The mirroring assumes a hermitian input: anything else fails the
-    check against every entry of H and raises InternalInvariantViolation.
+    The mirroring assumes a hermitian input, which is not scanned for up
+    front: the check compares every entry of H, so anything else fails
+    it, and only on that failure is H tested, to raise NotHermitian
+    rather than InternalInvariantViolation.  A non-square H is refused
+    at once, as the check would compare only its leading square.
     """
     if strategy not in ("first", "last"):
         raise ValueError(f"unknown pivot strategy {strategy!r}")
-    if not _checked and not h.is_theta_hermitian():
-        raise NotHermitian("input matrix is not theta-hermitian")
+    if not h.is_square():
+        raise NotHermitian("input matrix is not square")
+    try:
+        result = _eliminate(h, strategy == "last")
+        _verify_diagonalization(h, result)
+    except InternalInvariantViolation:
+        if not h.is_theta_hermitian():
+            raise NotHermitian("input matrix is not theta-hermitian") from None
+        raise
+    return result
+
+
+def _eliminate(h: MatD, last: bool) -> DiagonalizationResult:
+    """The elimination of diagonalize, unverified."""
     alg = h.alg
     n = h.rows
     work = [list(r) for r in h.entries]
     g = [list(r) for r in MatD.identity(alg, n).entries]
     one = alg.one()
     inv = [{r: one} for r in range(n)]  # rows of L = G^-1 by their support
-    last = strategy == "last"
 
     def swap(i: int, j: int) -> None:
         for r in range(n):
@@ -292,9 +302,7 @@ def diagonalize(
     zero = alg.zero()
     inverse = MatD(alg, [[inv[r].get(c, zero) for c in range(n)] for r in order])
 
-    result = DiagonalizationResult(witness, tuple(entries), inverse)
-    _verify_diagonalization(h, result)
-    return result
+    return DiagonalizationResult(witness, tuple(entries), inverse)
 
 
 def _verify_diagonalization(h: MatD, res: DiagonalizationResult) -> None:

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .field import FieldElem
 from .forms import HermitianForm, QuadraticFormF, diagonalize, rank_one
-from .morita import reduced_diagonal
 from .orders import classify
 
 __all__ = [
@@ -48,7 +47,7 @@ def sign_eta(h: HermitianForm, p: int) -> int:
     """Signature of h at ordering p under the reference normalization."""
     if classify(h.alg, p).nil:
         return 0
-    return sum(e.sign_at(p) for e in reduced_diagonal(h).entries)
+    return sum(e.sign_at(p) for e in h.diagonal.entries)
 
 
 def m_p(alg: AlgebraWithInvolution, p: int) -> tuple[int, MatD]:
@@ -72,7 +71,7 @@ def in_m_p(alg: AlgebraWithInvolution, a: MatD, p: int) -> bool:
     info = classify(alg, p)
     if info.nil:
         raise NilOrdering(f"all signatures vanish at ordering {p}")
-    res = reduced_diagonal(rank_one(alg, a))
+    res = rank_one(alg, a).diagonal
     # congruence keeps rank: a is invertible iff no entry of res is zero
     invertible = res.rank == len(res.entries)
     signature = sum(e.sign_at(p) for e in res.entries)
@@ -129,7 +128,7 @@ def pre_sylvester(h: HermitianForm, p: int) -> SylvesterDecomposition:
     info = classify(alg, p)
     if info.nil:
         raise NilOrdering(f"all signatures vanish at ordering {p}")
-    res = reduced_diagonal(h)
+    res = h.diagonal
     if any(e.is_zero() for e in res.entries):
         raise Singular("form is singular")
     pos, neg = [], []
@@ -177,7 +176,7 @@ def trace_form(alg: AlgebraWithInvolution, b: MatD | None = None) -> QuadraticFo
     psi = b * alg.phi
     if not psi.is_theta_hermitian():
         raise NotSymmetric("twisting element is not sigma-symmetric")
-    us = diagonalize(psi, _checked=True).entries
+    us = diagonalize(psi).entries
     if any(u.is_zero() for u in us):
         raise Singular("twisting element is not invertible")
     k = 2 if alg.div.kind == "quat" else 1

@@ -5,17 +5,19 @@ from math import comb
 
 import pytest
 
+import poscones.forms
 from poscones import (
+    AlgebraWithInvolution,
     DivisionAlgebraDesc,
     FieldDesc,
     GeneratedCone,
+    InternalInvariantViolation,
     MatD,
     NilOrdering,
     NotSymmetric,
     OrderingNotInXTilde,
     PositiveCone,
     Singular,
-    base_algebra,
     enumerate_cones,
     formally_real,
     generated_cone,
@@ -25,6 +27,7 @@ from poscones import (
     positive_involution_at,
     psd_up,
     scale_cone,
+    standard_algebra,
     trace_down,
     x_tilde,
     zoo_algebra,
@@ -99,7 +102,7 @@ class TestTransfer:
     def test_up_then_down_round_trip(self):
         for name in ("split-q-2", "quat-q-2", "quad-rt2-2"):
             div = zoo_algebra(name).div
-            k = PositiveCone(base_algebra(div), 0, -1)
+            k = PositiveCone(standard_algebra(1, div), 0, -1)
             up = psd_up(k, 3)
             assert up.alg.ell == 3 and up.eps == -1
             assert trace_down(up) == k
@@ -107,7 +110,7 @@ class TestTransfer:
     def test_membership_coheres_with_scalars(self):
         alg = zoo_algebra("split-q-2")
         div = alg.div
-        k = PositiveCone(base_algebra(div), 0, 1)
+        k = PositiveCone(standard_algebra(1, div), 0, 1)
         up = psd_up(k, 2)
         d = MatD.scalar(div, 3, 1)
         assert member(d, k)
@@ -216,6 +219,32 @@ class TestPositiveInvolutions:
     def test_nil_ordering_raises(self):
         with pytest.raises(NilOrdering):
             positive_involution_at(zoo_algebra("quat-rt2-1"), 1)
+
+    def test_certified_without_a_diagonalization(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(poscones.forms, "_eliminate", lambda *a: calls.append(a))
+        for name in zoo_names():
+            alg = zoo_algebra(name)
+            for p in x_tilde(alg):
+                b, _ = positive_involution_at(alg, p)
+                assert b * alg.phi == alg.identity()
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["split-q-2-indef", "quad-rt2-2", "quat-rt2-1"])
+    def test_negative_norm_form_is_refused(self, name, monkeypatch):
+        norm = DivisionAlgebraDesc.norm_form
+        monkeypatch.setattr(
+            DivisionAlgebraDesc, "norm_form",
+            lambda div: norm(div)[:-1] + (-norm(div)[-1],),
+        )
+        with pytest.raises(InternalInvariantViolation, match="not positive"):
+            positive_involution_at(zoo_algebra(name), 0)
+
+    def test_wrong_inverse_is_refused(self):
+        alg = AlgebraWithInvolution(2, SPLIT, qmat([[1, 0], [0, -1]]))
+        alg.__dict__["phi_inv"] = alg.identity()  # a corrupted cached inverse
+        with pytest.raises(InternalInvariantViolation, match="identity"):
+            positive_involution_at(alg, 0)
 
     def test_every_zoo_algebra_is_formally_real(self):
         for name in zoo_names():

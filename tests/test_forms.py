@@ -134,8 +134,13 @@ class TestDiagonalize:
             diagonalize(qmat([[1]]), "middle")
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            diagonalize(qmat([[0, 1], [0, 0]]))
+        # the leading square of the wide matrix is hermitian, and the
+        # check compares only that square, so the shape is tested first
+        for m in (qmat([[0, 1], [0, 0]]), qmat([[1, 0, 5], [0, 1, 7]]),
+                  qmat([[1, 0], [0, 1], [5, 7]]), MatD.zeros(SPLIT, 1, 2)):
+            for strategy in ("first", "last"):
+                with pytest.raises(NotHermitian):
+                    diagonalize(m, strategy)
 
     def test_quaternion_entries_land_in_base_field(self):
         one, i, j, k = HAMILTON.basis()
@@ -261,9 +266,10 @@ class TestReferenceElimination:
 
     @pytest.mark.parametrize("name", zoo_names())
     def test_unchecked_non_hermitian_input_is_rejected(self, name):
-        # the elimination mirrors one triangle, so with _checked=True it
-        # sees only half of a non-hermitian input; the verification of the
-        # full identity must still refuse to return a diagonal
+        # the elimination mirrors one triangle and H is not scanned up
+        # front, so it sees only half of a non-hermitian input; the
+        # verification of the full identity must still refuse to return a
+        # diagonal, and the failure is reported as NotHermitian
         div = zoo_algebra(name).div
         rng = random.Random(f"nonhermitian:{name}")
         one, z = div.one(), div.zero()
@@ -281,8 +287,19 @@ class TestReferenceElimination:
         for m in cases:
             assert not m.is_theta_hermitian()
             for strategy in ("first", "last"):
-                with pytest.raises(InternalInvariantViolation):
-                    diagonalize(m, strategy, _checked=True)
+                with pytest.raises(NotHermitian):
+                    diagonalize(m, strategy)
+
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_hermitian_input_is_not_scanned(self, name, monkeypatch):
+        inputs, calls = oracle_inputs(name), []
+        scan = MatD.is_theta_hermitian
+        monkeypatch.setattr(
+            MatD, "is_theta_hermitian", lambda m: calls.append(m) or scan(m)
+        )
+        for h in inputs:
+            diagonalize(h)
+        assert calls == []
 
 
 def bumped(m, i, j, x):
@@ -366,7 +383,7 @@ class TestKernelFault:
                 self.corrupt(m, target)
                 try:
                     res = diagonalize(h)
-                except InternalInvariantViolation:
+                except InternalInvariantViolation:  # never NotHermitian here
                     caught.append(target)
                     continue
             # returned despite the fault: the certificate must still hold

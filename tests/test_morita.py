@@ -1,23 +1,16 @@
-"""Transfer of forms between (M_ell(D), involution) and (D, theta)."""
+"""Reduction of forms from (M_ell(D), involution) to (D, theta)."""
 
 from fractions import Fraction
-
-import pytest
 
 from poscones import (
     DivisionAlgebraDesc,
     FieldDesc,
     MatD,
-    RankNotDivisible,
-    base_algebra,
-    collapse,
     diag_form,
-    expand,
     full_reduction,
     rank_one,
-    scale_involution,
     sign_eta,
-    theta_algebra,
+    standard_algebra,
     unit_form,
     zoo_algebra,
 )
@@ -33,56 +26,43 @@ def qmat(rows):
 class TestAlgebraMaps:
     def test_theta_algebra_resets_phi(self):
         alg = zoo_algebra("split-q-2-indef")
-        t = theta_algebra(alg)
+        t = standard_algebra(alg.ell, alg.div)
         assert t.ell == alg.ell and t.div == alg.div
         assert t.has_standard_involution
 
     def test_base_algebra(self):
-        b = base_algebra(SPLIT)
+        b = standard_algebra(1, SPLIT)
         assert b.ell == 1 and b.div == SPLIT and b.has_standard_involution
 
 
 class TestScaleInvolution:
+    """The reduced Gram carries a form over (A, ad_phi) to (A, theta_t)."""
+
     def test_unit_form_becomes_phi_inverse_gram(self):
         alg = zoo_algebra("split-q-2-indef")  # phi = diag(1, -1)
-        h = scale_involution(unit_form(alg))
-        assert h.alg == theta_algebra(alg)
         # gram becomes phi^-1 * identity = diag(1, -1)
-        assert h.gram == alg.phi
+        assert unit_form(alg).reduced == alg.phi
 
     def test_no_op_on_standard_involution(self):
         alg = zoo_algebra("split-q-2")
         h = rank_one(alg, qmat([[2, 1], [1, 1]]))
-        assert scale_involution(h) == h
-
-
-class TestCollapseExpand:
-    def test_collapse_flattens_rank(self):
-        alg = zoo_algebra("split-q-2")
-        h = rank_one(alg, qmat([[3, 0], [0, 5]]))
-        c = collapse(h)
-        assert c.alg == base_algebra(SPLIT)
-        assert c.rank == 2
-        assert c.gram == h.gram  # same matrix, reread over (D, theta)
-
-    def test_expand_inverts_collapse(self):
-        alg = zoo_algebra("split-q-2")
-        h = diag_form(alg, [qmat([[3, 0], [0, 5]]), qmat([[0, 1], [1, 0]])])
-        assert expand(collapse(h), alg.ell) == h
-
-    def test_expand_rejects_mismatched_rank(self):
-        alg = zoo_algebra("split-q-2")
-        h = collapse(rank_one(alg, qmat([[3, 0], [0, 5]])))
-        with pytest.raises(RankNotDivisible):
-            expand(h, 3)
+        assert h.reduced == h.gram
 
 
 class TestFullReduction:
+    def test_theta_t_form_is_read_unchanged(self):
+        alg = zoo_algebra("split-q-2")
+        h = diag_form(alg, [qmat([[3, 0], [0, 5]]), qmat([[0, 1], [1, 0]])])
+        red = full_reduction(h)
+        assert red.alg == standard_algebra(1, SPLIT)
+        assert red.rank == h.rank * alg.ell == 4
+        assert red.gram == h.gram  # same matrix, reread over (D, theta)
+
     def test_diagonal_example(self):
         alg = zoo_algebra("split-q-2")
         h = rank_one(alg, qmat([[3, 0], [0, 5]]))
         red = full_reduction(h)
-        assert red.alg == base_algebra(SPLIT)
+        assert red.alg == standard_algebra(1, SPLIT)
         assert red.rank == 2
         assert red.gram == qmat([[3, 0], [0, 5]])
 

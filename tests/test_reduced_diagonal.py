@@ -21,7 +21,6 @@ from poscones import (
     member,
     pre_sylvester,
     rank_one,
-    reduced_diagonal,
     x_tilde,
     zoo_algebra,
 )
@@ -74,7 +73,7 @@ def test_in_m_p_reads_invertibility_from_the_diagonal():
 
 def test_in_cone_at_skips_zero_entries():
     alg = zoo_algebra("split-q-2")
-    res = reduced_diagonal(rank_one(alg, qmat([[0, 0], [0, -3]])))
+    res = rank_one(alg, qmat([[0, 0], [0, -3]])).diagonal
     assert res.rank == 1
     assert res.in_cone_at(0, -1) and not res.in_cone_at(0, 1)
     assert not res.in_cone_at(0)
@@ -198,12 +197,12 @@ def test_one_diagonalization_per_named_object_in_a_problem_file(monkeypatch):
     assert {t["command"] for t in problem["tasks"]} == set(COMMANDS)
     verified = _count_calls(monkeypatch, poscones.forms, "_verify_diagonalization")
     _run_problem(problem)
-    # 2 forms + 3 elements and one trace form per posinv; weakrep reads the
-    # diagonal of <w> that member made
-    assert len(verified) == 2 + 3 + 2
+    # 2 forms + 3 elements; posinv is certified in closed form, and weakrep
+    # reads the diagonal of <w> that member made
+    assert len(verified) == 2 + 3
 
 
 def test_the_diagonal_is_made_once_per_form():
     alg = zoo_algebra("quat-rt2-2")
     h = HermitianForm(alg, 2, rand_hermitian_form_gram(random.Random(2), alg, 2))
-    assert h.diagonal is h.diagonal is reduced_diagonal(h)
+    assert h.diagonal is h.diagonal

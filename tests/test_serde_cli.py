@@ -482,6 +482,19 @@ class TestProblemFiles:
         }
         assert main(["run", json.dumps(problem)]) == 2
 
+    @pytest.mark.parametrize("ordering", [7, "P7"])
+    def test_out_of_range_ordering_carries_the_task_prefix(self, capsys, ordering):
+        problem = {
+            "schema": "1",
+            "zoo": "split-q-1",
+            "forms": {"f": {"rank": 1, "gram": [[[[["1"]]]]]}},
+            "tasks": [{"command": "sign", "form": "f", "ordering": ordering}],
+        }
+        assert main(["run", json.dumps(problem)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: task 0 (sign): ordering 7 is not valid for Q\n"
+
 
     @pytest.mark.parametrize(
         "malformed",
