@@ -30,7 +30,7 @@ from .cones import (
     positive_involution_at,
 )
 from .errors import ParseError, PosconesError, TaskError
-from .forms import HermitianForm, rank_one, weakly_represents
+from .forms import weakly_represents
 from .morita import full_reduction
 from .orders import classify_all, orderings_of, x_tilde
 from .serde import (
@@ -98,7 +98,7 @@ def _parse_orderings(raw: Any) -> tuple[int, ...]:
 #
 # A body takes the algebra and one task: the task's JSON object with its
 # form names replaced by the forms they name, and its element names by the
-# rank-one forms <e> of the elements.  It returns
+# element matrices they name.  It returns
 # (verdict, JSON payload, text lines); a false verdict makes the exit code 1.
 
 
@@ -310,19 +310,13 @@ def _ref(name: Any, kind: str, named: dict) -> Any:
 def _run_problem(data: Any) -> list:
     """Execute every task; returns one (command, verdict, payload, lines) each.
 
-    A task receives each element it names as the rank-one form <e>, built
-    on the element's first use and kept for the file, so that every form
-    and element is reduced and diagonalized at most once per file.
+    A task receives the forms and element matrices it names.  Each form is
+    one object for the file, and the library's rank_one keeps <e> for each
+    recently used element, so every form and element is reduced and
+    diagonalized at most once per file (for an element, while it is among
+    the forms.RANK_ONE_CACHE most recently used).
     """
     alg, forms, elements, tasks = _load_problem(data)
-    rank_ones: dict[str, HermitianForm] = {}
-
-    def element(name: Any) -> HermitianForm:
-        u = _ref(name, "element", elements)
-        if name not in rank_ones:
-            rank_ones[name] = rank_one(alg, u)
-        return rank_ones[name]
-
     out = []
     for i, spec in enumerate(tasks):
         if not isinstance(spec, dict):
@@ -339,12 +333,12 @@ def _run_problem(data: Any) -> list:
             if "form" in cmd.keys:
                 t["form"] = _ref(spec.get("form"), "form", forms)
             if "element" in cmd.keys:
-                t["element"] = element(spec.get("element"))
+                t["element"] = _ref(spec.get("element"), "element", elements)
             if "elements" in cmd.keys:
                 names = spec.get("elements", [])
                 if not isinstance(names, list):
                     raise ParseError(f"elements must be a list of names, got {names!r}")
-                t["elements"] = [element(n) for n in names]
+                t["elements"] = [_ref(n, "element", elements) for n in names]
             out.append((name, *cmd.body(alg, t)))
         except TaskError:
             raise

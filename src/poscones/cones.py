@@ -26,7 +26,7 @@ from .errors import (
     OrderingNotInXTilde,
     Singular,
 )
-from .forms import HermitianForm, _rank_one, rank_one
+from .forms import rank_one
 from .morita import standard_algebra
 from .orders import classify, x_tilde
 
@@ -77,10 +77,10 @@ def enumerate_cones(alg: AlgebraWithInvolution) -> tuple[PositiveCone, ...]:
     return tuple(out)
 
 
-def member(u: MatD | HermitianForm, cone: PositiveCone) -> bool:
-    """Exact membership of a symmetric element u, or of its form <u>, in
-    the cone."""
-    return _rank_one(cone.alg, u).diagonal.in_cone_at(cone.ordering, cone.eps)
+def member(u: MatD, cone: PositiveCone) -> bool:
+    """Exact membership of a symmetric element u in the cone, read from
+    the diagonal of rank_one(u)."""
+    return rank_one(cone.alg, u).diagonal.in_cone_at(cone.ordering, cone.eps)
 
 
 def psd_up(cone: PositiveCone, ell: int) -> PositiveCone:
@@ -224,25 +224,24 @@ def formally_real(alg: AlgebraWithInvolution) -> bool:
 
 
 def harrison_sigma(
-    alg: AlgebraWithInvolution, elems: Sequence[MatD | HermitianForm]
+    alg: AlgebraWithInvolution, elems: Sequence[MatD]
 ) -> tuple[PositiveCone, ...]:
-    """All cones containing every listed symmetric element (each given as
-    u or as <u>)."""
-    rs = [_rank_one(alg, a).diagonal for a in elems]
+    """All cones containing every listed symmetric element, each read from
+    the diagonal of its rank_one form."""
+    rs = [rank_one(alg, a).diagonal for a in elems]
     cones = enumerate_cones(alg)
     return tuple(k for k in cones if all(r.in_cone_at(k.ordering, k.eps) for r in rs))
 
 
 def is_maximal_on(
-    alg: AlgebraWithInvolution,
-    u: MatD | HermitianForm,
-    orderings_subset: Iterable[int],
+    alg: AlgebraWithInvolution, u: MatD, orderings_subset: Iterable[int]
 ) -> bool:
-    """True when u (or its form <u>) attains the maximal signature at every
-    listed ordering; each one must be non-nil (else OrderingNotInXTilde)."""
+    """True when u attains the maximal signature at every listed ordering,
+    read from the diagonal of rank_one(u); each ordering must be non-nil
+    (else OrderingNotInXTilde)."""
     ys, good = tuple(orderings_subset), x_tilde(alg)
     for p in ys:
         if p not in good:
             raise OrderingNotInXTilde(f"ordering {p} is nil or invalid")
-    res = _rank_one(alg, u).diagonal
+    res = rank_one(alg, u).diagonal
     return all(res.in_cone_at(p) for p in ys)

@@ -356,20 +356,19 @@ def parse_elem(field: FieldDesc, text: str) -> FieldElem:
     a_txt, sign_txt, b_txt, d_txt = m.group("a", "sign", "b", "d")
     if a_txt is None and d_txt is None:
         raise ParseError(f"cannot parse field element {text!r}")
-    a = Fraction(a_txt) if a_txt is not None else Fraction(0)
-    if d_txt is None:
-        b = Fraction(0)
-    else:
+    if d_txt is not None:
         if field.d is None:
             raise ParseError("sqrt term not allowed over Q")
         if int(d_txt) != field.d:
             raise ParseError(f"sqrt({d_txt}) does not match field {field}")
         if a_txt is not None and sign_txt is None:
             raise ParseError(f"missing sign before sqrt term in {text!r}")
-        b = Fraction(b_txt) if b_txt is not None else Fraction(1)
-        if sign_txt == "-":
-            b = -b
-    return FieldElem(field, a, b)
+    try:
+        a = Fraction(a_txt) if a_txt is not None else Fraction(0)
+        b = Fraction(b_txt or 1) if d_txt is not None else Fraction(0)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in field element {text!r}") from None
+    return FieldElem(field, a, -b if sign_txt == "-" else b)
 
 
 def format_elem(x: FieldElem) -> str:

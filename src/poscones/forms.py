@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Iterator, Sequence
 
@@ -357,19 +358,17 @@ def diag_form(alg: AlgebraWithInvolution, elems: Sequence[MatD]) -> HermitianFor
     return h
 
 
+# elements whose <u> (and so its verified diagonal) is kept for reuse
+RANK_ONE_CACHE = 64
+
+
+@lru_cache(maxsize=RANK_ONE_CACHE)
 def rank_one(alg: AlgebraWithInvolution, a: MatD) -> HermitianForm:
-    """The form <a> of rank one."""
+    """The form <a> of rank one, one object per (alg, a) while it is among
+    the RANK_ONE_CACHE most recently used: every cone, maximality, Harrison
+    and weak-representation question on a reads the one diagonal of <a>.
+    A refused a (NotSymmetric) is not cached, so it is refused every time."""
     return diag_form(alg, [a])
-
-
-def _rank_one(alg: AlgebraWithInvolution, u: MatD | HermitianForm) -> HermitianForm:
-    """<u> for a symmetric element u; a form given in its place is used as
-    given, so a caller that keeps <u> diagonalizes it once for every query."""
-    if not isinstance(u, HermitianForm):
-        return rank_one(alg, u)
-    if u.alg != alg or u.rank != 1:
-        raise ValueError("expected a rank-one form over the same algebra")
-    return u
 
 
 def unit_form(alg: AlgebraWithInvolution) -> HermitianForm:
@@ -474,7 +473,7 @@ def _combinations(e: FieldElem, gens: list) -> Iterator[list]:
                     yield [(j1, i1, _squares(l1)), (j2, i2, _squares(l2))]
 
 
-def weakly_represents(h: HermitianForm, u: MatD | HermitianForm) -> WeakRepResult:
+def weakly_represents(h: HermitianForm, u: MatD) -> WeakRepResult:
     """Build x with (m x h)(x, x) == u from a formula, with no search.
 
     The reductions of h and <u> to (D, theta) diagonalize to <d_j> and
@@ -489,12 +488,11 @@ def weakly_represents(h: HermitianForm, u: MatD | HermitianForm) -> WeakRepResul
 
     The answer is "yes", with a re-checked witness, exactly when every
     nonzero e_c is such a combination; otherwise it is "unknown".  u must
-    be sigma-symmetric; given as its form <u>, it is used as given, so its
-    diagonal is shared with every other query on <u>.
+    be sigma-symmetric; <u> comes from rank_one, so its diagonal is shared
+    with every other question on u.
     """
     alg, ell = h.alg, h.alg.ell
-    target = _rank_one(alg, u)  # validates u before the zero shortcut
-    u = target.gram
+    target = rank_one(alg, u)  # validates u before the zero shortcut
     if u.is_zero():
         return WeakRepResult("yes", 1, MatD.zeros(alg.div, h.rank * ell, ell))
 

@@ -102,10 +102,29 @@ def test_one_diagonalization_per_element(monkeypatch):
         assert fn(*args)
         return len(calls)
 
+    # the first predicate on u diagonalizes <u>; rank_one keeps it, so the
+    # later predicates, and a decomposition of rank_one(u), read that diagonal
     assert count(harrison_sigma, alg, [u]) == 1
-    assert count(is_maximal_on, alg, u, ys) == 1
-    # the decomposition is read from the one verified reduced diagonal
-    assert count(pre_sylvester, rank_one(alg, u), ys[0]) == 1
+    assert count(is_maximal_on, alg, u, ys) == 0
+    assert count(member, u, PositiveCone(alg, ys[1], 1)) == 0
+    assert count(pre_sylvester, rank_one(alg, u), ys[0]) == 0
+
+
+def test_equal_elements_share_one_rank_one_form():
+    alg = zoo_algebra("split-q-2-indef")
+    u, v = alg.phi * qmat([[2, 1], [1, 3]]), alg.phi * qmat([[2, 1], [1, 3]])
+    assert u == v and u is not v
+    assert rank_one(alg, u) is rank_one(alg, v)
+    assert rank_one(alg, u).diagonal is rank_one(alg, v).diagonal
+
+
+def test_a_refused_element_is_refused_on_every_call():
+    alg = zoo_algebra("split-q-2-indef")
+    u = qmat([[0, 1], [1, 0]])
+    for _ in range(2):
+        with pytest.raises(NotSymmetric):
+            rank_one(alg, u)
+    assert rank_one.cache_info().currsize == 0
 
 
 def _count_calls(monkeypatch, owner, name):

@@ -337,6 +337,21 @@ class TestCliErrors:
         assert main(["classify", "--algebra", json.dumps(alg)]) == 2
         assert "10**12" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("div", [
+        {"kind": "quad", "d": "1/0"},
+        {"kind": "quat", "a": "0/0", "b": "1"},
+        {"kind": "quat", "a": "1", "b": "-2/0"},
+    ], ids=["quad-d", "quat-a", "quat-b"])
+    def test_zero_denominator_in_a_parameter_is_one_line(self, capsys, div):
+        dim = 2 if div["kind"] == "quad" else 4
+        alg = {"field": {"kind": "rationals"}, "div": div, "ell": 1,
+               "phi": [[["1"] + ["0"] * (dim - 1)]]}
+        assert main(["cones", "--algebra", json.dumps(alg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: zero denominator in field element")
+
     def test_nil_ordering_is_an_error(self, capsys):
         assert main(["posinv", "--zoo", "quad-rt2-1",
                      "--ordering", "P1"]) == 2
