@@ -10,9 +10,9 @@ quadratic fields Q(sqrt(d)):
 * signatures of forms at the orderings of the base field, maximal
   rank-one signatures, and scalar (Sylvester-style) decompositions;
 * the two positive cones sitting over each non-nil ordering: exact
-  membership, going up/down between D and M_ell(D), twisting, an exact
-  decision whether a set generates a proper cone (with a checked
-  refutation when it does not), and constructive positive involutions.
+  membership, going up/down between D and M_ell(D), an exact decision
+  whether a set generates a proper cone (with a checked refutation when
+  it does not), and constructive positive involutions.
 
 A CLI (``poscones``) exposes the same operations over JSON descriptors.
 """
@@ -22,14 +22,12 @@ from .cones import (
     GeneratedCone,
     PositiveCone,
     enumerate_cones,
-    formally_real,
     generated_cone,
     harrison_sigma,
     is_maximal_on,
     member,
     positive_involution_at,
     psd_up,
-    scale_cone,
     trace_down,
 )
 from .errors import (
@@ -44,16 +42,13 @@ from .errors import (
     PosconesError,
     Singular,
     TaskError,
-    ZeroArgument,
 )
 from .field import (
     FieldDesc,
     FieldElem,
     format_elem,
-    is_totally_positive,
     orderings,
     parse_elem,
-    sign_at,
 )
 from .forms import (
     DiagonalizationResult,
@@ -64,7 +59,6 @@ from .forms import (
     diagonalize,
     direct_sum,
     rank_one,
-    scale_form,
     tensor,
     times,
     unit_form,
@@ -75,17 +69,14 @@ from .orders import (
     OrderingInfo,
     classify,
     classify_all,
-    harrison,
     orderings_of,
     x_tilde,
 )
 from .signature import (
     SylvesterDecomposition,
-    in_m_p,
     is_positive_involution,
     m_p,
     pre_sylvester,
-    sign_cone,
     sign_eta,
     trace_form,
 )
@@ -119,23 +110,18 @@ __all__ = [
     "SylvesterDecomposition",
     "TaskError",
     "WeakRepResult",
-    "ZeroArgument",
     "classify",
     "classify_all",
     "diag_form",
     "diagonalize",
     "direct_sum",
     "enumerate_cones",
-    "formally_real",
     "format_elem",
     "full_reduction",
     "generated_cone",
-    "harrison",
     "harrison_sigma",
-    "in_m_p",
     "is_maximal_on",
     "is_positive_involution",
-    "is_totally_positive",
     "m_p",
     "member",
     "orderings",
@@ -145,10 +131,6 @@ __all__ = [
     "pre_sylvester",
     "psd_up",
     "rank_one",
-    "scale_cone",
-    "scale_form",
-    "sign_at",
-    "sign_cone",
     "sign_eta",
     "standard_algebra",
     "tensor",

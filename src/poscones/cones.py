@@ -7,10 +7,9 @@ cone when every nonzero diagonal entry of its reduced diagonalization
 has sign eps at P; the cone with eps = +1 contains phi.
 
 Cones transfer along the same moves as forms: going up D -> M_ell(D)
-(pointwise positive semidefiniteness), going down (values of the
-pairing), and twisting the involution by a symmetric unit.  Whether a
-set of symmetric elements generates a proper cone over P is decided
-exactly, with a checked refutation when it does not.
+(pointwise positive semidefiniteness) and going down (values of the
+pairing).  Whether a set of symmetric elements generates a proper cone
+over P is decided exactly, with a checked refutation when it does not.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ from .algebra import AlgebraWithInvolution, MatD
 from .errors import (
     InternalInvariantViolation,
     NilOrdering,
-    NotSymmetric,
     OrderingNotInXTilde,
-    Singular,
 )
 from .forms import rank_one
 from .morita import standard_algebra
@@ -36,11 +33,9 @@ __all__ = [
     "member",
     "psd_up",
     "trace_down",
-    "scale_cone",
     "GeneratedCone",
     "generated_cone",
     "positive_involution_at",
-    "formally_real",
     "harrison_sigma",
     "is_maximal_on",
 ]
@@ -69,7 +64,12 @@ class PositiveCone:
 
 
 def enumerate_cones(alg: AlgebraWithInvolution) -> tuple[PositiveCone, ...]:
-    """All positive cones on the algebra: two per non-nil ordering."""
+    """All positive cones on the algebra: two per non-nil ordering.
+
+    As in Artin-Schreier, the algebra has a positive cone exactly when some
+    ordering is non-nil.  Every accepted descriptor has one (quad and quat
+    descriptors with none are refused by DivisionAlgebraDesc, and the split
+    kind is never nil), so the tuple is never empty."""
     out = []
     for p in x_tilde(alg):
         out.append(PositiveCone(alg, p, 1))
@@ -96,29 +96,6 @@ def trace_down(cone: PositiveCone) -> PositiveCone:
     if not cone.alg.has_standard_involution:
         raise ValueError("going down starts from a conjugate-transpose cone")
     return PositiveCone(standard_algebra(1, cone.alg.div), cone.ordering, cone.eps)
-
-
-def scale_cone(a: MatD, cone: PositiveCone) -> PositiveCone:
-    """The cone a * K on the algebra with involution twisted by a.
-
-    Membership transfers exactly: u in K iff a*u in scale_cone(a, K).
-    Central field scalars keep the algebra handle and flip eps by their
-    sign; general symmetric units move the handle to phi' = a * phi.
-    """
-    alg = cone.alg
-    if not alg.is_symmetric(a):
-        raise NotSymmetric("scaling element is not sigma-symmetric")
-    lam = a[0, 0]
-    if lam.is_scalar() and a == MatD.scalar(alg.div, lam, alg.ell):
-        lam = lam.scalar()
-        if lam.is_zero():
-            raise Singular("matrix is not invertible")
-        return PositiveCone(
-            alg, cone.ordering, cone.eps * lam.sign_at(cone.ordering)
-        )
-    # the algebra inverts a * phi, so it raises Singular when a is not a unit
-    target = AlgebraWithInvolution(alg.ell, alg.div, a * alg.phi)
-    return PositiveCone(target, cone.ordering, cone.eps)
 
 
 # -- cones generated by a set ---------------------------------------------------
@@ -217,17 +194,12 @@ def positive_involution_at(
     return b, standard_algebra(alg.ell, alg.div)
 
 
-def formally_real(alg: AlgebraWithInvolution) -> bool:
-    """True when some ordering is non-nil (equivalently, some hermitian
-    form has nonzero signature somewhere)."""
-    return len(x_tilde(alg)) > 0
-
-
 def harrison_sigma(
     alg: AlgebraWithInvolution, elems: Sequence[MatD]
 ) -> tuple[PositiveCone, ...]:
     """All cones containing every listed symmetric element, each read from
-    the diagonal of its rank_one form."""
+    the diagonal of its rank_one form: the Harrison sets on which the
+    topology of the space of positive cones is built."""
     rs = [rank_one(alg, a).diagonal for a in elems]
     cones = enumerate_cones(alg)
     return tuple(k for k in cones if all(r.in_cone_at(k.ordering, k.eps) for r in rs))

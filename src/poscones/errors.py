@@ -43,10 +43,6 @@ class OrderingNotInXTilde(PosconesError):
     """An ordering outside the admissible (non-nil) set was supplied."""
 
 
-class ZeroArgument(PosconesError):
-    """A nonzero field element was required."""
-
-
 class TaskError(PosconesError):
     """A task in a problem file failed to execute."""
 

@@ -26,8 +26,6 @@ __all__ = [
     "FieldDesc",
     "FieldElem",
     "orderings",
-    "sign_at",
-    "is_totally_positive",
     "parse_elem",
     "format_elem",
 ]
@@ -319,15 +317,6 @@ def _elem(field: FieldDesc, x: int, y: int, den: int) -> FieldElem:
     e.y = y
     e.den = den
     return e
-
-
-def sign_at(x: FieldElem, p: int) -> int:
-    return x.sign_at(p)
-
-
-def is_totally_positive(x: FieldElem) -> bool:
-    """True when x is strictly positive at every ordering of its field."""
-    return all(x.sign_at(p) == 1 for p in orderings(x.field))
 
 
 # -- textual form -----------------------------------------------------------

@@ -25,13 +25,12 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterator, Sequence
 
-from .algebra import AlgebraWithInvolution, DElem, MatD, kron_identity_left
+from .algebra import AlgebraWithInvolution, DElem, MatD
 from .errors import (
     DimensionMismatch,
     InternalInvariantViolation,
     NotHermitian,
     NotSymmetric,
-    Singular,
 )
 from .field import FieldElem
 
@@ -45,7 +44,6 @@ __all__ = [
     "direct_sum",
     "times",
     "tensor",
-    "scale_form",
     "weakly_represents",
     "WeakRepResult",
 ]
@@ -408,23 +406,6 @@ def tensor(q: QuadraticFormF, h: HermitianForm) -> HermitianForm:
     return HermitianForm(h.alg, q.dim * h.rank, gram, _checked=True)
 
 
-def scale_form(c: MatD, h: HermitianForm) -> HermitianForm:
-    """Carry h over (A, sigma) to c*h over (A, Int(c) o sigma).
-
-    c must be sigma-symmetric and invertible; the resulting algebra has
-    twist matrix c * phi and the Gram blocks are left-multiplied by c.
-    """
-    alg = h.alg
-    if not alg.is_symmetric(c):
-        raise NotSymmetric("scaling element is not sigma-symmetric")
-    try:
-        new_alg = AlgebraWithInvolution(alg.ell, alg.div, c * alg.phi)
-    except Singular:
-        raise Singular("scaling element is not invertible") from None
-    gram = kron_identity_left(h.rank, c) * h.gram
-    return HermitianForm(new_alg, h.rank, gram, _checked=True)
-
-
 # -- weak representation by a formula ----------------------------------------
 
 
@@ -455,22 +436,22 @@ def _squares(q: Fraction) -> list[Fraction]:
 def _combinations(e: FieldElem, gens: list) -> Iterator[list]:
     """e as a positive rational combination of one or two generators.
 
-    Yields lists of (slot, coordinate, squares summing to the coefficient).
+    Yields lists of (slot, coordinates, squares summing to the coefficient).
     In the coordinates (1, sqrt(d)) of the base field, two generators
     suffice whenever any nonnegative combination exists (Caratheodory).
     """
-    for j, i, g in gens:
+    for j, ids, g in gens:
         r = e / g
         if r.is_rational() and r.a > 0:
-            yield [(j, i, _squares(r.a))]
-    for k, (j1, i1, g1) in enumerate(gens):
-        for j2, i2, g2 in gens[k + 1 :]:
+            yield [(j, ids, _squares(r.a))]
+    for k, (j1, ids1, g1) in enumerate(gens):
+        for j2, ids2, g2 in gens[k + 1 :]:
             det = g1.a * g2.b - g2.a * g1.b
             if det:
                 l1 = (e.a * g2.b - g2.a * e.b) / det
                 l2 = (g1.a * e.b - e.a * g1.b) / det
                 if l1 > 0 and l2 > 0:
-                    yield [(j1, i1, _squares(l1)), (j2, i2, _squares(l2))]
+                    yield [(j1, ids1, _squares(l1)), (j2, ids2, _squares(l2))]
 
 
 def weakly_represents(h: HermitianForm, u: MatD) -> WeakRepResult:
@@ -483,8 +464,10 @@ def weakly_represents(h: HermitianForm, u: MatD) -> WeakRepResult:
     as a nonnegative rational combination of at most two generators
     d_j * c_i: a single one whose ratio is a rational square if there is
     one, else any; among those, the one that needs the fewest copies.
-    Each coefficient is split into rational squares, and each square
-    fills one coordinate of one copy of slot j.
+    Coordinates with equal c_i make one generator.  Each coefficient is
+    split into rational squares, and each square fills one coordinate of
+    one copy of slot j: the r-th of the generator's k coordinates, taken
+    cyclically, in copy r // k, so s squares take ceil(s / k) copies.
 
     The answer is "yes", with a re-checked witness, exactly when every
     nonzero e_c is such a combination; otherwise it is "unknown".  u must
@@ -497,7 +480,10 @@ def weakly_represents(h: HermitianForm, u: MatD) -> WeakRepResult:
         return WeakRepResult("yes", 1, MatD.zeros(alg.div, h.rank * ell, ell))
 
     res, tres = h.diagonal, target.diagonal
-    gens = [(j, i, d * c) for i, c in enumerate(alg.div.norm_form())
+    coords_of = {}  # norm-form value -> the coordinates that have it
+    for i, c in enumerate(alg.div.norm_form()):
+        coords_of.setdefault(c, []).append(i)
+    gens = [(j, ids, d * c) for c, ids in coords_of.items()
             for j, d in enumerate(res.entries) if not d.is_zero()]
     used = [0] * len(res.entries)  # copies of each slot filled so far
     placed = []  # (copy, slot, column, coordinate, square root)
@@ -505,14 +491,17 @@ def weakly_represents(h: HermitianForm, u: MatD) -> WeakRepResult:
         if e.is_zero():
             continue
         split = min(_combinations(e, gens), default=None, key=lambda s: (
-            len(s) > 1 or len(s[0][2]) > 1, max(used[j] + len(q) for j, _, q in s)
+            len(s) > 1 or len(s[0][2]) > 1,
+            max(used[j] + -(-len(q) // len(ids)) for j, ids, q in s),
         ))
         if split is None:
             return WeakRepResult("unknown")
         base = list(used)
-        for j, i, sq in split:
-            placed += [(base[j] + r, j, col, i, q) for r, q in enumerate(sq)]
-            used[j] = max(used[j], base[j] + len(sq))
+        for j, ids, sq in split:
+            k = len(ids)
+            placed += [(base[j] + r // k, j, col, ids[r % k], q)
+                       for r, q in enumerate(sq)]
+            used[j] = max(used[j], base[j] + -(-len(sq) // k))
 
     m, n = max(used), len(res.entries)
     coords = [[list(alg.div.zero().coords) for _ in range(ell)] for _ in range(m * n)]

@@ -23,11 +23,9 @@ supported descriptors, whose division part has degree at most 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .algebra import AlgebraWithInvolution
-from .errors import ZeroArgument
-from .field import FieldDesc, FieldElem, orderings
+from .field import orderings
 
 __all__ = [
     "OrderingInfo",
@@ -35,7 +33,6 @@ __all__ = [
     "classify_all",
     "orderings_of",
     "x_tilde",
-    "harrison",
 ]
 
 
@@ -79,17 +76,3 @@ def classify_all(alg: AlgebraWithInvolution) -> tuple[OrderingInfo, ...]:
 def x_tilde(alg: AlgebraWithInvolution) -> tuple[int, ...]:
     """The orderings at which signatures do not identically vanish."""
     return tuple(p for p in orderings_of(alg) if not classify(alg, p).nil)
-
-
-def harrison(field: FieldDesc, elems: Sequence[FieldElem]) -> tuple[int, ...]:
-    """Orderings at which every listed element is strictly positive."""
-    for x in elems:
-        if x.field != field:
-            raise ValueError("field mismatch in element list")
-        if x.is_zero():
-            raise ZeroArgument("zero element in a positivity condition")
-    return tuple(
-        p
-        for p in orderings(field)
-        if all(x.sign_at(p) == 1 for x in elems)
-    )

@@ -46,7 +46,7 @@ def parse_ordering(raw: Any) -> int:
         s = raw.strip().upper()
         if s.startswith("P"):
             s = s[1:]
-        if s.isdigit():
+        if s.isdecimal():
             return int(s)
     raise ParseError(f"cannot parse ordering {raw!r}")
 

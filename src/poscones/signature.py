@@ -28,23 +28,20 @@ from .forms import HermitianForm, QuadraticFormF, diagonalize, rank_one
 from .orders import classify
 
 __all__ = [
-    "REFERENCE_CONVENTION",
     "sign_eta",
     "m_p",
-    "in_m_p",
     "SylvesterDecomposition",
     "pre_sylvester",
-    "sign_cone",
     "trace_form",
     "is_positive_involution",
 ]
 
-# Marker for the normalization in force; see module docstring.
-REFERENCE_CONVENTION = "reduction-positive"
-
 
 def sign_eta(h: HermitianForm, p: int) -> int:
-    """Signature of h at ordering p under the reference normalization."""
+    """Signature of h at ordering p under the reference normalization;
+    relative to a positive cone (P, eps) it is eps * sign_eta(h, P).  Zero
+    entries of the reduced diagonal carry no sign, so singular forms need
+    no separate treatment."""
     if classify(h.alg, p).nil:
         return 0
     return sum(e.sign_at(p) for e in h.diagonal.entries)
@@ -63,19 +60,6 @@ def m_p(alg: AlgebraWithInvolution, p: int) -> tuple[int, MatD]:
     if sign_eta(rank_one(alg, alg.phi), p) != info.n_p:
         raise InternalInvariantViolation("witness element missed the bound")
     return info.n_p, alg.phi
-
-
-def in_m_p(alg: AlgebraWithInvolution, a: MatD, p: int) -> bool:
-    """Membership in the maximal-signature set: zero, or symmetric
-    invertible with sign_eta(<a>, p) == n_P."""
-    info = classify(alg, p)
-    if info.nil:
-        raise NilOrdering(f"all signatures vanish at ordering {p}")
-    res = rank_one(alg, a).diagonal
-    # congruence keeps rank: a is invertible iff no entry of res is zero
-    invertible = res.rank == len(res.entries)
-    signature = sum(e.sign_at(p) for e in res.entries)
-    return a.is_zero() or (invertible and signature == info.n_p)
 
 
 # -- Sylvester-style decomposition -------------------------------------------
@@ -142,13 +126,6 @@ def pre_sylvester(h: HermitianForm, p: int) -> SylvesterDecomposition:
         pos=tuple(pos),
         neg=tuple(neg),
     )
-
-
-def sign_cone(h: HermitianForm, cone) -> int:
-    """Signature of h relative to a positive cone (P, eps): eps * sign_eta
-    at the cone's ordering.  Zero entries of the reduced diagonal carry no
-    sign, so singular forms need no separate treatment."""
-    return cone.eps * sign_eta(h, cone.ordering)
 
 
 # -- involution trace forms ---------------------------------------------------

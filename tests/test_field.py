@@ -12,7 +12,6 @@ from poscones import (
     FieldElem,
     ParseError,
     format_elem,
-    is_totally_positive,
     orderings,
     parse_elem,
 )
@@ -136,12 +135,6 @@ class TestSigns:
             Q.one().sign_at(1)
         with pytest.raises(ValueError):
             RT2.one().sign_at(2)
-
-    def test_totally_positive(self):
-        assert is_totally_positive(RT2.elem(3, 2))  # conjugate 3-2*sqrt(2) > 0
-        assert not is_totally_positive(RT2.elem(1, 1))
-        assert is_totally_positive(Q.elem(5))
-        assert not is_totally_positive(Q.elem(-5))
 
 
 class TestTextFormat:

@@ -19,13 +19,11 @@ from poscones import (
     NotHermitian,
     NotSymmetric,
     QuadraticFormF,
-    Singular,
     diag_form,
     diagonalize,
     direct_sum,
     parse_elem,
     rank_one,
-    scale_form,
     sign_eta,
     tensor,
     times,
@@ -455,19 +453,6 @@ class TestConstructors:
         assert sign_eta(t, 0) == 0
         assert sign_eta(tensor(QuadraticFormF((Q.elem(2),)), h), 0) == 2
 
-    def test_scale_form_moves_the_involution(self):
-        alg = zoo_algebra("split-q-2")
-        c = qmat([[1, 0], [0, -1]])
-        h = scale_form(c, unit_form(alg))
-        assert h.alg.phi == c
-        assert h.gram == c
-        # the transfer is an isometry: signatures are preserved
-        assert sign_eta(h, 0) == sign_eta(unit_form(alg), 0) == 2
-        with pytest.raises(NotSymmetric):
-            scale_form(qmat([[0, 1], [0, 0]]), unit_form(alg))
-        with pytest.raises(Singular):
-            scale_form(qmat([[1, 1], [1, 1]]), unit_form(alg))
-
 
 class TestWeakRepresentation:
     def test_square_is_represented_once(self):
@@ -530,6 +515,20 @@ class TestWeakRepresentation:
         res = weakly_represents(h, u)
         assert res.status == "yes" and res.copies == 1
         assert times(res.copies, h).evaluate(res.witness, res.witness) == u
+
+    @pytest.mark.parametrize("name, value", [
+        ("quat-q-1", 3), ("quat-q-1", 7), ("quat-q-1", 15), ("quat-rt2-1", 2),
+        ("quat-q-2", 7),
+    ])
+    def test_equal_norm_coefficients_share_one_copy(self, name, value):
+        # coordinates with equal norm-form coefficients take one square each
+        # in the same copy: 3 is the value of x = 1 + i + j over <1, 1, 1, 1>
+        alg = zoo_algebra(name)
+        h = unit_form(alg)
+        u = MatD.scalar(alg.div, alg.field.elem(value), alg.ell)
+        res = weakly_represents(h, u)
+        assert res.status == "yes" and res.copies == 1
+        assert h.evaluate(res.witness, res.witness) == u
 
     def test_sixty_digit_entry_is_fast(self):
         alg = zoo_algebra("split-q-1")

@@ -3,19 +3,14 @@
 import pytest
 
 from poscones import (
-    FieldDesc,
     OrderingInfo,
-    ZeroArgument,
     classify,
     classify_all,
-    harrison,
     orderings_of,
     x_tilde,
     zoo_algebra,
     zoo_names,
 )
-
-RT2 = FieldDesc(2)
 
 # name -> tuple of (class, n_P, nil) per ordering, frozen by hand from the
 # local structure: split stays real, quad splits or stays quadratic by the
@@ -61,23 +56,3 @@ class TestClassification:
     def test_orderings_follow_the_field(self):
         assert orderings_of(zoo_algebra("split-q-2")) == (0,)
         assert orderings_of(zoo_algebra("quad-rt2-1")) == (0, 1)
-
-
-class TestHarrison:
-    def test_positive_sets(self):
-        one_plus = RT2.elem(1, 1)  # positive only at P0
-        one_minus = RT2.elem(1, -1)  # positive only at P1
-        unit = RT2.elem(3, 2)  # totally positive
-        assert harrison(RT2, [one_plus]) == (0,)
-        assert harrison(RT2, [one_minus]) == (1,)
-        assert harrison(RT2, [unit]) == (0, 1)
-        assert harrison(RT2, [one_plus, one_minus]) == ()
-        assert harrison(RT2, []) == (0, 1)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroArgument):
-            harrison(RT2, [RT2.zero()])
-
-    def test_field_mismatch(self):
-        with pytest.raises(ValueError):
-            harrison(RT2, [FieldDesc().one()])

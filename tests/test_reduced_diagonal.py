@@ -15,7 +15,6 @@ from poscones import (
     NotSymmetric,
     PositiveCone,
     harrison_sigma,
-    in_m_p,
     is_maximal_on,
     is_positive_involution,
     member,
@@ -38,7 +37,6 @@ def qmat(rows):
 PREDICATES = {
     "member": lambda alg, u, p: member(u, PositiveCone(alg, p, 1)),
     "member_minus": lambda alg, u, p: member(u, PositiveCone(alg, p, -1)),
-    "in_m_p": lambda alg, u, p: in_m_p(alg, u, p),
     "is_maximal_on": lambda alg, u, p: is_maximal_on(alg, u, (p,)),
     "harrison_sigma": lambda alg, u, p: harrison_sigma(alg, [u]),
 }
@@ -60,15 +58,6 @@ def test_empty_ordering_list_still_validates_the_element():
     with pytest.raises(NotSymmetric):
         is_maximal_on(alg, qmat([[0, 1], [1, 0]]), ())
     assert is_maximal_on(alg, alg.phi, ())
-
-
-def test_in_m_p_reads_invertibility_from_the_diagonal():
-    alg = zoo_algebra("split-q-2")
-    assert in_m_p(alg, alg.zero(), 0)
-    assert in_m_p(alg, alg.identity(), 0)
-    assert not in_m_p(alg, qmat([[1, 0], [0, 0]]), 0)
-    assert not in_m_p(alg, qmat([[1, 1], [1, 1]]), 0)
-    assert not in_m_p(alg, qmat([[1, 0], [0, -1]]), 0)
 
 
 def test_in_cone_at_skips_zero_entries():

@@ -405,6 +405,12 @@ class TestCliErrors:
                 parse_ordering(raw)
         assert parse_ordering(1) == 1
 
+    @pytest.mark.parametrize("raw", ["P\u00b2", "\u00b9", "P\u2082"])
+    def test_superscript_and_subscript_digits_are_not_an_ordering(self, raw):
+        # str.isdigit accepts them, but int() does not
+        with pytest.raises(ParseError, match="cannot parse ordering"):
+            parse_ordering(raw)
+
 
 class TestProblemFiles:
     def test_run_all_true(self, capsys, tmp_path):
@@ -439,6 +445,18 @@ class TestProblemFiles:
             "tasks": [{"command": "member", "element": "w", "ordering": "P0"}],
         }
         assert main(["run", json.dumps(problem)]) == 1
+
+    def test_superscript_ordering_is_a_one_line_parse_error(self, capsys):
+        problem = {
+            "schema": "1",
+            "zoo": "split-q-2",
+            "elements": {"w": json.loads(INDEF_ELEMENT)},
+            "tasks": [{"command": "member", "element": "w", "ordering": "P\u00b2"}],
+        }
+        assert main(["run", json.dumps(problem)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: task 0 (member): cannot parse ordering 'P\u00b2'\n"
 
     def test_run_validates_schema(self, capsys):
         assert main(["run", json.dumps({"schema": "2", "zoo": "split-q-1",
