@@ -10,9 +10,9 @@ quadratic fields Q(sqrt(d)):
 * signatures of forms at the orderings of the base field, maximal
   rank-one signatures, and scalar (Sylvester-style) decompositions;
 * the two positive cones sitting over each non-nil ordering: exact
-  membership, going up/down between D and M_ell(D), an exact decision
-  whether a set generates a proper cone (with a checked refutation when
-  it does not), and constructive positive involutions.
+  membership, an exact decision whether a set generates a proper cone
+  (with a checked refutation when it does not), and constructive
+  positive involutions.
 
 A CLI (``poscones``) exposes the same operations over JSON descriptors.
 """
@@ -27,8 +27,6 @@ from .cones import (
     is_maximal_on,
     member,
     positive_involution_at,
-    psd_up,
-    trace_down,
 )
 from .errors import (
     DimensionMismatch,
@@ -129,13 +127,11 @@ __all__ = [
     "parse_elem",
     "positive_involution_at",
     "pre_sylvester",
-    "psd_up",
     "rank_one",
     "sign_eta",
     "standard_algebra",
     "tensor",
     "times",
-    "trace_down",
     "trace_form",
     "unit_form",
     "weakly_represents",

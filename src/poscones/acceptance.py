@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from .algebra import AlgebraWithInvolution, DivisionAlgebraDesc, MatD
@@ -24,10 +25,8 @@ from .cones import (
     is_maximal_on,
     member,
     positive_involution_at,
-    psd_up,
-    trace_down,
 )
-from .field import FieldDesc, orderings
+from .field import FieldDesc
 from .forms import (
     HermitianForm,
     QuadraticFormF,
@@ -37,7 +36,7 @@ from .forms import (
     rank_one,
     tensor,
 )
-from .morita import full_reduction, standard_algebra
+from .morita import standard_algebra
 from .orders import classify, orderings_of, x_tilde
 from .sampling import (
     rand_fieldelem,
@@ -73,7 +72,7 @@ class CriterionResult:
 
 TITLES = {
     1: "diagonalization soundness and pivot-strategy invariance",
-    2: "up/down round trip and membership coherence",
+    2: "membership coherence between M_ell(D) and D",
     3: "signature laws (hyperbolic, additive, multiplicative)",
     4: "rank-one signature bound, witness, and nil vanishing",
     5: "split cones match the principal-minor PSD oracle",
@@ -99,6 +98,91 @@ def _random_form(
     return HermitianForm(alg, rank, gram, _checked=True)
 
 
+# -- the transfer oracle: reference signs for criteria 1, 4, 7, 8 and 9 --------
+#
+# The oracle shares no code with the reduction, diagonalize, in_cone_at or
+# generated_cone.  The Scharlau transfer S of a theta_t-hermitian m over D
+# is the symmetric F-form (x, y) -> scalar coordinate of theta_t(x) * m * y
+# on D^n.  If m is congruent to <e_k> over D, S is isometric to <e_k>
+# tensor the norm form of D, which is positive definite at every non-nil
+# P and indefinite at every nil P.  So at a non-nil P each of the
+# (positive, negative, zero) counts of S is dim D times that of the e_k;
+# at a nil P, S has eigenvalues of both signs unless m = 0.  For the
+# element u of (M_ell(D), sigma), m is its reduction phi^-1 u.
+
+
+@lru_cache(maxsize=16)
+def _scalar_table(div: DivisionAlgebraDesc) -> list:
+    b = div.basis()
+    return [[[(k, v) for k, y in enumerate(b) if (v := (x.theta() * y * z).coords[0])]
+             for z in b] for x in b]
+
+
+def _transfer_gram(m: MatD) -> list[list]:
+    """S over the F-basis (i, beta) of D^n, side n * dim D: entry sum_k
+    m_ij[k] * t_akc over the nonzero t_akc = scalar coordinate of theta(beta_a)
+    beta_k beta_c.  S is symmetric, so only its upper triangle is computed."""
+    t, zero = _scalar_table(m.alg), m.alg.base.zero()
+    idx = [(i, a) for i in range(m.rows) for a in range(len(t))]
+    s = [[None] * len(idx) for _ in idx]
+    for c, (j, g) in enumerate(idx):
+        for r, (i, a) in enumerate(idx[: c + 1]):
+            x = m[i, j].coords
+            s[r][c] = s[c][r] = sum((x[k] * v for k, v in t[a][g]), zero)
+    return s
+
+
+def _charpoly(s: list[list], field: FieldDesc) -> list:
+    """Coefficients of det(x - S), leading one first, in O(n^3): similarity
+    (row swaps with column swaps, row_i -= m row_(k+1) with col_(k+1) +=
+    m col_i) brings S to upper Hessenberg H, and p_k = det(x - H[:k, :k]) is
+    (x - h_kk) p_(k-1) - sum_i h_(k-i),k h_k,(k-1) ... h_(k-i+1),(k-i) p_(k-i-1)."""
+    n, zero, one = len(s), field.zero(), field.one()
+    h = [list(row) for row in s]
+    for k in range(n - 2):
+        piv = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if piv is None:
+            continue  # column k is already zero below the subdiagonal
+        if piv != k + 1:
+            h[piv], h[k + 1] = h[k + 1], h[piv]
+            for row in h:
+                row[piv], row[k + 1] = row[k + 1], row[piv]
+        top, inv = h[k + 1], h[k + 1][k].inverse()
+        for i in range(k + 2, n):
+            if h[i][k]:
+                m = h[i][k] * inv
+                h[i] = h[i][:k] + [x - m * y for x, y in zip(h[i][k:], top[k:])]
+                for row in h:
+                    row[k + 1] = row[k + 1] + m * row[i]
+    polys = [[one]]  # p_0, p_1, ...: coefficients, constant term first
+    for k in range(1, n + 1):
+        p = [zero] + polys[-1]
+        for t, c in enumerate(polys[-1]):
+            p[t] = p[t] - h[k - 1][k - 1] * c
+        prod = one
+        for i in range(1, k):
+            prod = prod * h[k - i][k - i - 1]
+            if not prod:
+                break
+            coef = h[k - 1 - i][k - 1] * prod
+            for t, c in enumerate(polys[k - i - 1]):
+                p[t] = p[t] - coef * c
+        polys.append(p)
+    return polys[-1][::-1]
+
+
+def _sign_counts(coeffs: list, p: int) -> tuple[int, int, int]:
+    """(positive, negative, zero) roots at ordering p of a real-rooted
+    polynomial: zero from the trailing zero coefficients, negative by
+    Descartes' rule, exactly the sign changes of the coefficients at -x."""
+    n = len(coeffs) - 1
+    zero = next(k for k, c in enumerate(reversed(coeffs)) if c)
+    signs = [(-1) ** (n - k) * c.sign_at(p) for k, c in enumerate(coeffs)]
+    signs = [x for x in signs if x]
+    neg = sum(a != b for a, b in zip(signs, signs[1:]))
+    return n - neg - zero, neg, zero
+
+
 # -- criterion 1: diagonalization soundness -----------------------------------
 
 
@@ -108,12 +192,11 @@ def criterion_1(seed: int, scale: float = 1.0) -> CriterionResult:
     for zname, alg in zoo_all().items():
         rng = random.Random(f"{seed}:c1:{zname}")
         div = alg.div
-        base = standard_algebra(1, div)
-        live = [p for p in orderings(div.base) if not classify(base, p).nil]
+        live = x_tilde(standard_algebra(1, div))
         for i in range(per_algebra):
             n = 1 + (i % (2 * alg.ell))
             h = rand_hermitian(rng, div, n, singular=(i % 4 == 0))
-            results = {}
+            poly = _charpoly(_transfer_gram(h), div.base)
             for strat in ("first", "last"):
                 res = diagonalize(h, strat)
                 lhs = res.witness.theta_t() * h * res.witness
@@ -122,26 +205,21 @@ def criterion_1(seed: int, scale: float = 1.0) -> CriterionResult:
                     return CriterionResult(
                         1, False, f"congruence identity failed on {zname}"
                     )
-                results[strat] = res
-            first, lastr = results["first"], results["last"]
-            if first.rank != lastr.rank:
-                return CriterionResult(
-                    1, False, f"rank differs across strategies on {zname}"
-                )
-            for p in live:
-                if first.sign_counts_at(p) != lastr.sign_counts_at(p):
-                    return CriterionResult(
-                        1,
-                        False,
-                        f"sign counts differ across strategies on {zname} at P{p}",
-                    )
+                for p in live:
+                    signs = [e.sign_at(p) for e in res.entries]
+                    counts = tuple(div.dim * signs.count(x) for x in (1, -1, 0))
+                    if counts != _sign_counts(poly, p):
+                        return CriterionResult(
+                            1, False, f"sign counts of the {strat!r} strategy "
+                            f"missed the transfer oracle on {zname} at P{p}",
+                        )
             checked += 1
     return CriterionResult(
-        1, True, f"{checked} matrices diagonalized under both strategies"
+        1, True, f"{checked} matrices matched the transfer oracle under both strategies"
     )
 
 
-# -- criterion 2: going up and down -------------------------------------------
+# -- criterion 2: membership coherence between M_ell(D) and D -----------------
 
 
 def criterion_2(seed: int, scale: float = 1.0) -> CriterionResult:
@@ -154,18 +232,8 @@ def criterion_2(seed: int, scale: float = 1.0) -> CriterionResult:
         base = standard_algebra(1, div)
         up_alg = standard_algebra(ell, div)
         for kd in enumerate_cones(base):
-            if trace_down(psd_up(kd, ell)) != kd:
-                return CriterionResult(
-                    2, False, f"down o up is not the identity on {zname}"
-                )
-        for ku in enumerate_cones(up_alg):
-            if psd_up(trace_down(ku), ell) != ku:
-                return CriterionResult(
-                    2, False, f"up o down is not the identity on {zname}"
-                )
-        for kd in enumerate_cones(base):
-            ku = psd_up(kd, ell)
             p = kd.ordering
+            ku = PositiveCone(up_alg, p, kd.eps)
             for i in range(per_algebra):
                 # scalar coherence: d in K_D iff diag(d, 0, ..., 0) in the
                 # lifted cone
@@ -264,20 +332,21 @@ def criterion_4(seed: int, scale: float = 1.0) -> CriterionResult:
     for zname, alg in zoo_all().items():
         rng = random.Random(f"{seed}:c4:{zname}")
         infos = {p: classify(alg, p) for p in orderings_of(alg)}
+        dim = alg.div.dim
         for p, info in infos.items():
             if not info.nil:
                 value, witness = m_p(alg, p)
-                if value != info.n_p:
+                poly = _charpoly(_transfer_gram(alg.phi_inv * witness), alg.field)
+                pos, neg, _ = _sign_counts(poly, p)
+                if value != info.n_p or dim * value != pos - neg:
                     return CriterionResult(
-                        4, False, f"witness bound wrong on {zname} at P{p}"
-                    )
-                if sign_eta(rank_one(alg, witness), p) != info.n_p:
-                    return CriterionResult(
-                        4, False, f"witness missed bound on {zname} at P{p}"
+                        4, False, f"m_p {value} missed n_P or the transfer "
+                        f"oracle on {zname} at P{p}",
                     )
         for _ in range(per_algebra):
             a = rand_invertible_symmetric(rng, alg)
             h = rank_one(alg, a)
+            poly = _charpoly(_transfer_gram(alg.phi_inv * a), alg.field)
             for p, info in infos.items():
                 s = sign_eta(h, p)
                 if info.nil:
@@ -285,9 +354,12 @@ def criterion_4(seed: int, scale: float = 1.0) -> CriterionResult:
                         return CriterionResult(
                             4, False, f"nonzero signature at nil P{p} on {zname}"
                         )
-                elif abs(s) > info.n_p:
+                    continue
+                pos, neg, _ = _sign_counts(poly, p)
+                if abs(s) > info.n_p or dim * s != pos - neg:
                     return CriterionResult(
-                        4, False, f"signature exceeded n_P on {zname}"
+                        4, False, f"signature {s} missed n_P or the transfer "
+                        f"oracle on {zname} at P{p}",
                     )
             checked += 1
     return CriterionResult(4, True, f"{checked} random units stayed within the bound")
@@ -410,25 +482,25 @@ def criterion_7(seed: int, scale: float = 1.0) -> CriterionResult:
         rng = random.Random(f"{seed}:c7:{zname}")
         heavy = alg.ell >= 2 and (alg.div.dim >= 2 or alg.field.is_quadratic)
         max_rank = 1 if heavy else (2 if alg.ell >= 2 else 3)
-        live = x_tilde(alg)
+        live, dim = x_tilde(alg), alg.div.dim
         for i in range(per_algebra):
             rank = 1 + (i % max_rank)
             h = _random_form(rng, alg, rank, nonsingular=True)
-            # inertia: pre_sylvester pivots "first"; compare a "last" run
-            last = diagonalize(full_reduction(h).gram, "last")
+            # phi = 1, so the Gram is its own reduction; each transfer count
+            # is dim D times a diagonal count, and r, s are ell times one
+            poly = _charpoly(_transfer_gram(h.gram), alg.field)
             for p in live:
                 dec = pre_sylvester(h, p)
-                pos, neg, _ = last.sign_counts_at(p)
-                if (dec.r, dec.s) != (alg.ell * pos, alg.ell * neg):
+                pos, neg, _ = _sign_counts(poly, p)
+                if (dim * dec.r, dim * dec.s) != (alg.ell * pos, alg.ell * neg):
                     return CriterionResult(
                         7, False, f"inertia failed on {zname} at P{p}"
                     )
-                sig = sign_eta(h, p)
-                if dec.sign_value(1) != sig:
+                if dim * dec.sign_value(1) != pos - neg:
                     return CriterionResult(
                         7, False, f"normalized signature mismatch on {zname} at P{p}"
                     )
-                if dec.sign_value(-1) != -sig:
+                if dim * dec.sign_value(-1) != neg - pos:
                     return CriterionResult(
                         7, False, f"mirror signature mismatch on {zname}"
                     )
@@ -436,52 +508,6 @@ def criterion_7(seed: int, scale: float = 1.0) -> CriterionResult:
     return CriterionResult(
         7, True, f"{checked} nonsingular forms decomposed and validated"
     )
-
-
-# -- the transfer oracle of criteria 8 and 9 -----------------------------------
-#
-# The oracle shares no code with the reduction, diagonalize, in_cone_at or
-# generated_cone.  The Scharlau transfer S of <u> is the F-form (x, y) ->
-# scalar coordinate of theta_t(x) * phi^-1 u * y on D^ell.  If phi^-1 u is
-# congruent to <e_k> over D, S is isometric to <e_k> tensor the norm form of
-# D, which is positive definite at every non-nil P and indefinite at every
-# nil P.  So at a non-nil P, u is maximal iff S has no negative eigenvalue;
-# at a nil P, S has eigenvalues of both signs unless u = 0.
-
-
-def _transfer_gram(alg: AlgebraWithInvolution, u: MatD) -> list[list]:
-    """S over the F-basis (i, beta) of D^ell: side ell * dim D."""
-    m = alg.phi_inv * u
-    idx = [(i, beta) for i in range(alg.ell) for beta in alg.div.basis()]
-    return [
-        [(a.theta() * m[i, j] * b).coords[0] for j, b in idx] for i, a in idx
-    ]
-
-
-def _charpoly(s: list[list], field: FieldDesc) -> list:
-    """Coefficients of det(x - S), leading one first, by Faddeev-LeVerrier:
-    M_k = S M_(k-1) + c_(n-k+1) and c_(n-k) = -tr(S M_k) / k."""
-    n, zero = len(s), field.zero()
-    coeffs, m = [field.one()], [[zero] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        c = coeffs[-1]
-        m = [
-            [sum((s[i][t] * m[t][j] for t in range(n)), c if i == j else zero)
-             for j in range(n)]
-            for i in range(n)
-        ]
-        trace = sum((s[i][t] * m[t][i] for i in range(n) for t in range(n)), zero)
-        coeffs.append(-trace / k)
-    return coeffs
-
-
-def _negative_roots(coeffs: list, p: int) -> int:
-    """Negative roots of a real-rooted polynomial at ordering p: by
-    Descartes' rule, exactly the sign changes of its coefficients at -x."""
-    n = len(coeffs) - 1
-    signs = [(-1) ** (n - k) * c.sign_at(p) for k, c in enumerate(coeffs)]
-    signs = [x for x in signs if x]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 # -- criterion 8: generated cones ----------------------------------------------
@@ -530,11 +556,10 @@ def criterion_8(seed: int, scale: float = 1.0) -> CriterionResult:
         while drawn < per_algebra or (not refuted_here and drawn < 100):
             drawn += 1
             gens = [rand_symmetric(rng, alg) for _ in range(1 + rng.randrange(2))]
-            polys = [_charpoly(_transfer_gram(alg, s), alg.field) for s in gens]
-            minus = [_charpoly(_transfer_gram(alg, -s), alg.field) for s in gens]
+            polys = [_charpoly(_transfer_gram(alg.phi_inv * s), alg.field) for s in gens]
             for p in orderings_of(alg):
-                no_neg = all(_negative_roots(c, p) == 0 for c in polys)
-                no_pos = all(_negative_roots(c, p) == 0 for c in minus)
+                counts = [_sign_counts(c, p) for c in polys]
+                no_neg, no_pos = (all(c[k] == 0 for c in counts) for k in (1, 0))
                 ans = generated_cone(alg, gens, p)
                 if (ans.proper, ans.eps) != (no_neg or no_pos, no_neg - no_pos):
                     return CriterionResult(
@@ -576,9 +601,9 @@ def criterion_9(seed: int, scale: float = 1.0) -> CriterionResult:
         r = rand_matd(rng, alg.div, alg.ell, alg.ell)
         us.append(alg.phi * r.theta_t() * r)
         for u in us:
-            poly = _charpoly(_transfer_gram(alg, u), alg.field)
+            poly = _charpoly(_transfer_gram(alg.phi_inv * u), alg.field)
             for ys in subsets:
-                oracle = all(_negative_roots(poly, p) == 0 for p in ys)
+                oracle = all(_sign_counts(poly, p)[1] == 0 for p in ys)
                 if is_maximal_on(alg, u, ys) != oracle:
                     return CriterionResult(
                         9, False, f"criteria disagreed on {zname} for subset {ys}"

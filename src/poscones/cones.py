@@ -6,10 +6,10 @@ cones, mirror images of each other; a cone is addressed by the handle
 cone when every nonzero diagonal entry of its reduced diagonalization
 has sign eps at P; the cone with eps = +1 contains phi.
 
-Cones transfer along the same moves as forms: going up D -> M_ell(D)
-(pointwise positive semidefiniteness) and going down (values of the
-pairing).  Whether a set of symmetric elements generates a proper cone
-over P is decided exactly, with a checked refutation when it does not.
+The cone (P, eps) on (D, theta) goes up to the cone (P, eps) on
+standard_algebra(ell, D), so no going-up or going-down map is kept.
+Whether a set of symmetric elements generates a proper cone over P is
+decided exactly, with a checked refutation when it does not.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ __all__ = [
     "PositiveCone",
     "enumerate_cones",
     "member",
-    "psd_up",
-    "trace_down",
     "GeneratedCone",
     "generated_cone",
     "positive_involution_at",
@@ -83,21 +81,6 @@ def member(u: MatD, cone: PositiveCone) -> bool:
     return rank_one(cone.alg, u).diagonal.in_cone_at(cone.ordering, cone.eps)
 
 
-def psd_up(cone: PositiveCone, ell: int) -> PositiveCone:
-    """Cone of pointwise-positive matrices over (M_ell(D), theta_t)."""
-    if cone.alg.ell != 1 or not cone.alg.has_standard_involution:
-        raise ValueError("going up starts from a cone on (D, theta)")
-    target = standard_algebra(ell, cone.alg.div)
-    return PositiveCone(target, cone.ordering, cone.eps)
-
-
-def trace_down(cone: PositiveCone) -> PositiveCone:
-    """Cone of pairing values down on (D, theta); inverse of psd_up."""
-    if not cone.alg.has_standard_involution:
-        raise ValueError("going down starts from a conjugate-transpose cone")
-    return PositiveCone(standard_algebra(1, cone.alg.div), cone.ordering, cone.eps)
-
-
 # -- cones generated by a set ---------------------------------------------------
 
 
@@ -134,13 +117,14 @@ def generated_cone(
     re-checked by products.  At a nil P the norm form is indefinite, so
     any nonzero s refutes.  S in {0} generates {0}, which lies in both
     cones over a non-nil P: proper with eps 0.  Each s must be
-    sigma-symmetric, else NotSymmetric is raised.
+    sigma-symmetric, else NotSymmetric is raised, even after a refutation.
     """
     classify(alg, p)  # validates the ordering
+    forms = [rank_one(alg, s) for s in gens]  # validates every generator
     basis, norm = alg.div.basis(), alg.div.norm_form()
     first = {}  # sign at p -> (s, G, i, beta, product): first of that sign
-    for s in gens:
-        res = rank_one(alg, s).diagonal
+    for s, h in zip(gens, forms):
+        res = h.diagonal
         for i, e in enumerate(res.entries[: res.rank]):
             for beta, c in zip(basis, norm):
                 v = e * c

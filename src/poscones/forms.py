@@ -165,12 +165,6 @@ class DiagonalizationResult:
     def rank(self) -> int:
         return sum(1 for e in self.entries if not e.is_zero())
 
-    def sign_counts_at(self, p: int) -> tuple[int, int, int]:
-        """(positive, negative, zero) counts of the entries at ordering p."""
-        pos = sum(1 for e in self.entries if e.sign_at(p) == 1)
-        neg = sum(1 for e in self.entries if e.sign_at(p) == -1)
-        return pos, neg, len(self.entries) - pos - neg
-
     def in_cone_at(self, p: int, eps: int = 1) -> bool:
         """True when every nonzero entry has sign eps at ordering p."""
         return all(e.is_zero() or e.sign_at(p) == eps for e in self.entries)

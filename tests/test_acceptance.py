@@ -5,15 +5,25 @@ under sixty seconds.  One PASS/FAIL line per criterion is printed with
 capture suspended so the verdicts stay visible in the pytest output.
 """
 
+import dataclasses
 import re
 import time
 
 import pytest
 
 import poscones.acceptance
+import poscones.forms
 import poscones.signature
-from poscones.acceptance import CRITERIA, criterion_5, criterion_8, criterion_9, run_all
-from poscones.algebra import DivisionAlgebraDesc
+from poscones.acceptance import (
+    CRITERIA,
+    criterion_4,
+    criterion_5,
+    criterion_7,
+    criterion_8,
+    criterion_9,
+    run_all,
+)
+from poscones.algebra import DivisionAlgebraDesc, MatD
 from poscones.errors import InternalInvariantViolation
 from poscones.forms import DiagonalizationResult
 
@@ -78,6 +88,24 @@ def test_a_raising_criterion_keeps_its_title(monkeypatch):
     ((result, _),) = run_all(SEED, MUTATION_SCALE)
     assert not result.passed
     assert result.name == poscones.acceptance.TITLES[1]
+
+
+def test_negated_diagonals_fail_criteria_4_and_7(monkeypatch):
+    # every entry negated, except on the identity, so that m_p's re-check of
+    # <phi> still passes: only the transfer oracle can see the flipped signs
+    diagonalize = poscones.forms.diagonalize
+
+    def negated(h, strategy="first"):
+        res = diagonalize(h, strategy)
+        if h == MatD.identity(h.alg, h.rows):
+            return res
+        return dataclasses.replace(res, entries=tuple(-e for e in res.entries))
+
+    monkeypatch.setattr(poscones.forms, "diagonalize", negated)
+    monkeypatch.setattr(poscones.acceptance, "diagonalize", negated)
+    for criterion, detail in ((criterion_4, "transfer oracle"), (criterion_7, "inertia")):
+        result = criterion(SEED, MUTATION_SCALE)
+        assert not result.passed and detail in result.detail
 
 
 def test_in_cone_at_ignoring_eps_fails_criterion_5(monkeypatch):

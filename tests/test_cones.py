@@ -1,5 +1,6 @@
-"""Positive cones: membership, transfer, generated cones, and maximality."""
+"""Positive cones: membership, M_ell(D) against D, generated cones, and maximality."""
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -23,14 +24,12 @@ from poscones import (
     is_maximal_on,
     member,
     positive_involution_at,
-    psd_up,
     standard_algebra,
-    trace_down,
     x_tilde,
     zoo_algebra,
     zoo_names,
 )
-from poscones.acceptance import _charpoly, _negative_roots, _transfer_gram
+from poscones.acceptance import _charpoly, _det_frac, _sign_counts, _transfer_gram
 
 Q = FieldDesc()
 SPLIT = DivisionAlgebraDesc(Q, "split")
@@ -96,32 +95,13 @@ class TestMembership:
 
 
 class TestTransfer:
-    def test_up_then_down_round_trip(self):
-        for name in ("split-q-2", "quat-q-2", "quad-rt2-2"):
-            div = zoo_algebra(name).div
-            k = PositiveCone(standard_algebra(1, div), 0, -1)
-            up = psd_up(k, 3)
-            assert up.alg.ell == 3 and up.eps == -1
-            assert trace_down(up) == k
-
     def test_membership_coheres_with_scalars(self):
-        alg = zoo_algebra("split-q-2")
-        div = alg.div
+        div = zoo_algebra("split-q-2").div
         k = PositiveCone(standard_algebra(1, div), 0, 1)
-        up = psd_up(k, 2)
+        up = PositiveCone(standard_algebra(2, div), 0, 1)
         d = MatD.scalar(div, 3, 1)
         assert member(d, k)
         assert member(MatD.diagonal(div, [d[0, 0], div.zero()]), up)
-
-    def test_up_requires_base_cone(self):
-        alg = zoo_algebra("split-q-2")
-        with pytest.raises(ValueError):
-            psd_up(PositiveCone(alg, 0, 1), 2)
-
-    def test_down_requires_standard_involution(self):
-        alg = zoo_algebra("split-q-2-indef")
-        with pytest.raises(ValueError):
-            trace_down(PositiveCone(alg, 0, 1))
 
 
 class TestGeneratedCone:
@@ -174,6 +154,13 @@ class TestGeneratedCone:
         alg = zoo_algebra("split-q-2")
         with pytest.raises(NotSymmetric):
             generated_cone(alg, [qmat([[0, 1], [0, 0]])], 0)
+        # diag(1, -1) alone is refuted; the asymmetric generator after it
+        # must still be refused, as harrison_sigma refuses it
+        gens = [qmat([[1, 0], [0, -1]]), qmat([[0, 1], [2, 0]])]
+        with pytest.raises(NotSymmetric):
+            harrison_sigma(alg, gens)
+        with pytest.raises(NotSymmetric):
+            generated_cone(alg, gens, 0)
 
     def test_invalid_ordering_rejected(self):
         with pytest.raises(ValueError):
@@ -263,18 +250,51 @@ class TestMaximality:
         ]
         for alg, u, maximal in cases:
             ys = x_tilde(alg)
-            poly = _charpoly(_transfer_gram(alg, u), alg.field)
-            oracle = all(_negative_roots(poly, p) == 0 for p in ys)
+            poly = _charpoly(_transfer_gram(alg.phi_inv * u), alg.field)
+            oracle = all(_sign_counts(poly, p)[1] == 0 for p in ys)
             assert oracle == is_maximal_on(alg, u, ys) == maximal
 
     def test_transfer_charpoly_by_hand(self):
-        split = zoo_algebra("split-q-2")
         # diag(1, -1): S = diag(1, -1), det(x - S) = x^2 - 1
-        poly = _charpoly(_transfer_gram(split, qmat([[1, 0], [0, -1]])), Q)
+        poly = _charpoly(_transfer_gram(qmat([[1, 0], [0, -1]])), Q)
         assert poly == [Q.elem(1), Q.elem(0), Q.elem(-1)]
-        assert _negative_roots(poly, 0) == 1
+        assert _sign_counts(poly, 0) == (1, 1, 0)
+        # diag(1, 0): det(x - S) = x^2 - x, one positive root and one zero
+        poly = _charpoly(_transfer_gram(qmat([[1, 0], [0, 0]])), Q)
+        assert poly == [Q.elem(1), Q.elem(-1), Q.elem(0)]
+        assert _sign_counts(poly, 0) == (1, 0, 1)
         # -1 over quat-q-2: S = -I_8, det(x - S) = (x + 1)^8
         quat = zoo_algebra("quat-q-2")
-        poly = _charpoly(_transfer_gram(quat, -quat.identity()), Q)
+        poly = _charpoly(_transfer_gram(quat.phi_inv * -quat.identity()), Q)
         assert poly == [Q.elem(comb(8, k)) for k in range(9)]
-        assert _negative_roots(poly, 0) == 8
+        assert _sign_counts(poly, 0) == (0, 8, 0)
+        # the Hessenberg recurrence against cofactor determinants, sides 1-6;
+        # the triangular and gapped matrices give the Hessenberg pass zero
+        # columns, and pivots that need a row swap
+        rng = random.Random(0)
+        xs = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(5, 2)]
+        for field in (Q, FieldDesc(2)):
+            def elem():
+                b = rng.randint(-2, 2) if field.is_quadratic else 0
+                return field.elem(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), b)
+
+            for n in range(1, 7):
+                dense = [[elem() for _ in range(n)] for _ in range(n)]
+                sym = [[dense[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+                upper = [[dense[i][j] if i <= j else field.zero() for j in range(n)]
+                         for i in range(n)]
+                gapped = [row[:] for row in sym]
+                for k in range(n - 1):
+                    gapped[k + 1][k] = gapped[k][k + 1] = field.zero()
+                sparse = [[elem() if rng.random() < 0.3 else field.zero()
+                           for _ in range(n)] for _ in range(n)]
+                for s in (dense, sym, upper, gapped, sparse):
+                    poly = _charpoly(s, field)
+                    assert len(poly) == n + 1 and poly[0] == field.one()
+                    for x in xs:
+                        value = field.zero()
+                        for c in poly:
+                            value = value * x + c
+                        minus = [[(x if i == j else 0) - s[i][j] for j in range(n)]
+                                 for i in range(n)]
+                        assert value == field.zero() + _det_frac(minus)

@@ -73,7 +73,7 @@ class TestDiagonalize:
         res = diagonalize(h)
         assert res.entries == (Q.elem(1), Q.elem(0))
         assert res.rank == 1
-        assert res.sign_counts_at(0) == (1, 0, 1)
+        assert [e.sign_at(0) for e in res.entries] == [1, 0]
         check_witness(h, res)
 
     def test_zeroed_radical_column_is_caught(self):
@@ -123,7 +123,8 @@ class TestDiagonalize:
         first = diagonalize(h, "first")
         last = diagonalize(h, "last")
         assert first.rank == last.rank
-        assert first.sign_counts_at(0) == last.sign_counts_at(0)
+        signs = [sorted(e.sign_at(0) for e in r.entries) for r in (first, last)]
+        assert signs[0] == signs[1]
         check_witness(h, first)
         check_witness(h, last)
 
@@ -154,7 +155,7 @@ class TestDiagonalize:
         h = MatD(HAMILTON, [[z, i], [-i, z]])
         res = diagonalize(h)
         assert res.rank == 2
-        assert res.sign_counts_at(0) == (1, 1, 0)
+        assert sorted(e.sign_at(0) for e in res.entries) == [-1, 1]
         check_witness(h, res)
 
 
