@@ -98,7 +98,7 @@ def _random_form(
     return HermitianForm(alg, rank, gram, _checked=True)
 
 
-# -- the transfer oracle: reference signs for criteria 1, 4, 7, 8 and 9 --------
+# -- the transfer oracle: reference signs for criteria 1, 2, 4, 7, 8 and 9 -----
 #
 # The oracle shares no code with the reduction, diagonalize, in_cone_at or
 # generated_cone.  The Scharlau transfer S of a theta_t-hermitian m over D
@@ -247,14 +247,12 @@ def criterion_2(seed: int, scale: float = 1.0) -> CriterionResult:
                     return CriterionResult(
                         2, False, f"scalar coherence failed on {zname}"
                     )
-                # matrix coherence: membership above equals entrywise
-                # membership of the diagonalization below
+                # matrix coherence: membership above equals the transfer
+                # oracle's verdict (phi = 1, so b is its own reduction): no
+                # eigenvalue of sign -eps at p
                 b = rand_hermitian(rng, div, ell, singular=(i % 3 == 0))
-                entries = diagonalize(b).entries
-                below = all(
-                    member(MatD(div, [[div.from_field(e)]]), kd) for e in entries
-                )
-                if member(b, ku) != below:
+                counts = _sign_counts(_charpoly(_transfer_gram(b), div.base), p)
+                if member(b, ku) != (counts[(1 + kd.eps) // 2] == 0):
                     return CriterionResult(
                         2, False, f"matrix coherence failed on {zname}"
                     )

@@ -376,6 +376,15 @@ class MatD:
             c0 += b.cols
         return cls(alg, out)
 
+    @classmethod
+    def from_blocks(
+        cls, alg: DivisionAlgebraDesc, grid: Sequence[Sequence["MatD"]]
+    ) -> "MatD":
+        """Row-major flattening of a grid of blocks, those of one grid row
+        of one height; the empty grid gives the 0 x 0 matrix."""
+        strips = (zip(*(b.entries for b in line)) for line in grid)
+        return cls(alg, [sum(row, ()) for strip in strips for row in strip])
+
     # -- shape and access ----------------------------------------------------
 
     @property
@@ -520,14 +529,6 @@ class MatD:
                 out[r] = [x - f * y for x, y in zip(out[r], out[col])]
         return MatD(self.alg, out)
 
-    def trace(self) -> DElem:
-        if not self.is_square():
-            raise DimensionMismatch("trace of a non-square matrix")
-        acc = self.alg.zero()
-        for i in range(self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
-
     def __str__(self) -> str:
         return "[" + "; ".join(
             ", ".join(str(e) for e in row) for row in self.entries
@@ -600,12 +601,6 @@ class AlgebraWithInvolution:
         if self.has_standard_involution:
             return x
         return kron_identity_left(x.rows // self.ell, self.phi_inv) * x
-
-    def is_symmetric(self, x: MatD) -> bool:
-        """True when sigma(x) == x, read from the reduction of x."""
-        if x.cols != self.ell:
-            raise DimensionMismatch("matrix product shape mismatch")
-        return x.rows == self.ell and self.reduce(x).is_theta_hermitian()
 
     def __str__(self) -> str:
         inv = "theta_t" if self.has_standard_involution else f"ad({self.phi})"

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .acceptance import run_all
@@ -433,7 +434,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parse_args keeps no state
+    between calls, so every in-process caller of main can share it."""
     parser = _Parser(
         prog="poscones",
         description=(

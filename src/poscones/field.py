@@ -233,16 +233,6 @@ class FieldElem:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "FieldElem":
-        """Image under the nontrivial automorphism sqrt(d) -> -sqrt(d)."""
-        return _elem(self.field, self.x, -self.y, self.den)
-
-    def norm(self) -> Fraction:
-        """Field norm a^2 - d*b^2 down to Q (a^2 over Q itself)."""
-        # y == 0 over Q, where d is None
-        n = self.x * self.x - (self.field.d or 0) * self.y * self.y
-        return Fraction(n, self.den * self.den)
-
     def inverse(self) -> "FieldElem":
         if not (self.x or self.y):
             raise DivisionByZero("inverse of zero field element")
@@ -260,18 +250,6 @@ class FieldElem:
 
     def __rtruediv__(self, other) -> "FieldElem":
         return self.inverse() * other
-
-    def __pow__(self, n: int) -> "FieldElem":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- signs --------------------------------------------------------------
 

@@ -1,8 +1,10 @@
 """Seeded random generators for elements, matrices and forms.
 
 All sampling is driven by an explicit random.Random instance so every
-caller is reproducible.  Entries are kept small; all downstream
-arithmetic is exact, so the samples certify whatever they witness.
+caller is reproducible.  Entries are kept small: rand_fieldelem and
+rand_delem take a span, and the matrix samplers all use span 2.  All
+downstream arithmetic is exact, so the samples certify whatever they
+witness.
 """
 
 from __future__ import annotations
@@ -26,14 +28,11 @@ __all__ = [
 ]
 
 
-def rand_fieldelem(
-    rng: random.Random,
-    field: FieldDesc,
-    span: int = 3,
-    allow_sqrt: bool = True,
-) -> FieldElem:
+def rand_fieldelem(rng: random.Random, field: FieldDesc, span: int = 3) -> FieldElem:
+    """a + b*sqrt(d) with integers |a|, |b| <= span; b = 0 over Q and
+    with probability 0.3 otherwise."""
     a = Fraction(rng.randint(-span, span))
-    if field.d is None or not allow_sqrt:
+    if field.d is None:
         return field.elem(a)
     b = Fraction(rng.randint(-span, span)) if rng.random() < 0.7 else Fraction(0)
     return field.elem(a, b)
@@ -48,6 +47,7 @@ def rand_positive_at(rng: random.Random, field: FieldDesc, p: int) -> FieldElem:
 
 
 def rand_delem(rng: random.Random, div: DivisionAlgebraDesc, span: int = 3) -> DElem:
+    """Each coordinate rand_fieldelem(span) with probability 0.8, else 0."""
     coords = tuple(
         rand_fieldelem(rng, div.base, span)
         if rng.random() < 0.8
@@ -58,15 +58,11 @@ def rand_delem(rng: random.Random, div: DivisionAlgebraDesc, span: int = 3) -> D
 
 
 def rand_matd(
-    rng: random.Random,
-    div: DivisionAlgebraDesc,
-    rows: int,
-    cols: int,
-    span: int = 2,
+    rng: random.Random, div: DivisionAlgebraDesc, rows: int, cols: int
 ) -> MatD:
+    """rows x cols matrix of rand_delem entries with span 2."""
     return MatD(
-        div,
-        [[rand_delem(rng, div, span) for _ in range(cols)] for _ in range(rows)],
+        div, [[rand_delem(rng, div, 2) for _ in range(cols)] for _ in range(rows)]
     )
 
 
@@ -74,7 +70,6 @@ def rand_hermitian(
     rng: random.Random,
     div: DivisionAlgebraDesc,
     n: int,
-    span: int = 2,
     singular: bool = False,
 ) -> MatD:
     """Random theta-hermitian n x n matrix; optionally of deficient rank.
@@ -87,27 +82,23 @@ def rand_hermitian(
         if singular and (i == n - 1 or rng.random() < 0.4):
             d.append(div.base.zero())
         else:
-            val = rand_fieldelem(rng, div.base, span)
+            val = rand_fieldelem(rng, div.base, 2)
             d.append(val if not val.is_zero() else div.base.one())
     diag = MatD.diagonal(div, [div.from_field(c) for c in d])
-    r = rand_matd(rng, div, n, n, span)
+    r = rand_matd(rng, div, n, n)
     return r.theta_t() * diag * r
 
 
-def rand_symmetric(
-    rng: random.Random, alg: AlgebraWithInvolution, span: int = 2
-) -> MatD:
+def rand_symmetric(rng: random.Random, alg: AlgebraWithInvolution) -> MatD:
     """Random sigma-symmetric element, built as y + sigma(y)."""
-    y = rand_matd(rng, alg.div, alg.ell, alg.ell, span)
+    y = rand_matd(rng, alg.div, alg.ell, alg.ell)
     return y + alg.sigma(y)
 
 
-def rand_invertible_symmetric(
-    rng: random.Random, alg: AlgebraWithInvolution, span: int = 2
-) -> MatD:
+def rand_invertible_symmetric(rng: random.Random, alg: AlgebraWithInvolution) -> MatD:
     """Random sigma-symmetric unit (rejection sampling)."""
     while True:
-        x = rand_symmetric(rng, alg, span)
+        x = rand_symmetric(rng, alg)
         try:
             x.inverse()
         except Singular:
@@ -119,29 +110,22 @@ def rand_hermitian_form_gram(
     rng: random.Random,
     alg: AlgebraWithInvolution,
     rank: int,
-    span: int = 2,
     nonsingular: bool = False,
 ) -> MatD:
-    """Flattened Gram of a random sigma-hermitian form of the given rank."""
+    """Flattened Gram of a random sigma-hermitian form of the given rank:
+    diagonal blocks y + sigma(y), block (j, i) sigma of block (i, j), for
+    i < j, all from rand_matd; nonsingular=True resamples until invertible."""
     ell = alg.ell
-    n = rank * ell
     while True:
         blocks = [[None] * rank for _ in range(rank)]
         for i in range(rank):
-            y = rand_matd(rng, alg.div, ell, ell, span)
+            y = rand_matd(rng, alg.div, ell, ell)
             blocks[i][i] = y + alg.sigma(y)
             for j in range(i + 1, rank):
-                b = rand_matd(rng, alg.div, ell, ell, span)
+                b = rand_matd(rng, alg.div, ell, ell)
                 blocks[i][j] = b
                 blocks[j][i] = alg.sigma(b)
-        rows = []
-        for i in range(rank):
-            for r in range(ell):
-                row = []
-                for j in range(rank):
-                    row.extend(blocks[i][j].entries[r])
-                rows.append(row)
-        gram = MatD(alg.div, rows)
+        gram = MatD.from_blocks(alg.div, blocks)
         if not nonsingular:
             return gram
         try:

@@ -198,18 +198,9 @@ def form_from_json(alg: AlgebraWithInvolution, data: Any) -> HermitianForm:
         if not isinstance(row, list) or len(row) != rank:
             raise ParseError("gram grid does not match rank")
         blocks.append([matd_from_json(alg.div, b) for b in row])
-    ell = alg.ell
-    rows = []
-    for i in range(rank):
-        for r in range(ell):
-            line = []
-            for j in range(rank):
-                blk = blocks[i][j]
-                if blk.rows != ell or blk.cols != ell:
-                    raise ParseError("gram block has wrong size")
-                line.extend(blk.entries[r])
-            rows.append(line)
-    gram = MatD(alg.div, rows) if rank else MatD.zeros(alg.div, 0, 0)
+    if any((b.rows, b.cols) != (alg.ell,) * 2 for row in blocks for b in row):
+        raise ParseError("gram block has wrong size")
+    gram = MatD.from_blocks(alg.div, blocks)
     try:
         return HermitianForm(alg, rank, gram)
     except Exception as exc:

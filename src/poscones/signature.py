@@ -17,14 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraWithInvolution, MatD
-from .errors import (
-    InternalInvariantViolation,
-    NilOrdering,
-    NotSymmetric,
-    Singular,
-)
+from .errors import InternalInvariantViolation, NilOrdering, Singular
 from .field import FieldElem
-from .forms import HermitianForm, QuadraticFormF, diagonalize, rank_one
+from .forms import HermitianForm, QuadraticFormF, rank_one
 from .orders import classify
 
 __all__ = [
@@ -139,21 +134,22 @@ def trace_form(alg: AlgebraWithInvolution, b: MatD | None = None) -> QuadraticFo
     field, of dimension dim_F(A), given in closed form rather than by
     eliminating the Gram of the trace pairing.
 
-    psi = b * phi is theta_t-hermitian exactly when b is sigma-symmetric,
-    and then tau = Int(psi) o theta_t.  If psi diagonalizes (with a
-    verified witness) to <u_1, ..., u_ell>, the trace form of tau is
-    isometric to <u> (x) <u> (x) T_D, with T_D the trace form of (D, theta)
-    (Knus, Merkurjev, Rost, Tignol, The Book of Involutions, section 11):
-    the basis of D is orthogonal for trd(theta(x) * y), and trd is the
-    scalar coordinate, twice it for quaternions, so T_D is 1 or 2 times
-    the norm form.  Entries are u_r * u_c * t_beta, nested r, c, beta.
+    tau = Int(psi) o theta_t with psi = b * phi, which is theta_t-hermitian
+    exactly when b is sigma-symmetric.  psi = theta_t(phi) * (phi^-1 b) * phi,
+    so psi is congruent to phi^-1 b, the reduction that <b> diagonalizes,
+    with witness phi^-1 G.  If that verified diagonal is <u_1, ..., u_ell>,
+    the trace form of tau is isometric to <u> (x) <u> (x) T_D, with T_D the
+    trace form of (D, theta) (Knus, Merkurjev, Rost, Tignol, The Book of
+    Involutions, section 11): the basis of D is orthogonal for
+    trd(theta(x) * y), and trd is the scalar coordinate, twice it for
+    quaternions, so T_D is 1 or 2 times the norm form.  Entries are
+    u_r * u_c * t_beta, nested r, c, beta.  The diagonal is the one of
+    rank_one(alg, b), shared with every other question on b, which also
+    refuses a b that is not sigma-symmetric (NotSymmetric).
     """
     if b is None:
         b = alg.identity()
-    psi = b * alg.phi
-    if not psi.is_theta_hermitian():
-        raise NotSymmetric("twisting element is not sigma-symmetric")
-    us = diagonalize(psi).entries
+    us = rank_one(alg, b).diagonal.entries
     if any(u.is_zero() for u in us):
         raise Singular("twisting element is not invertible")
     k = 2 if alg.div.kind == "quat" else 1

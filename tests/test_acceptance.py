@@ -16,6 +16,7 @@ import poscones.forms
 import poscones.signature
 from poscones.acceptance import (
     CRITERIA,
+    criterion_2,
     criterion_4,
     criterion_5,
     criterion_7,
@@ -108,12 +109,24 @@ def test_negated_diagonals_fail_criteria_4_and_7(monkeypatch):
         assert not result.passed and detail in result.detail
 
 
-def test_in_cone_at_ignoring_eps_fails_criterion_5(monkeypatch):
+def _ignore_eps(monkeypatch):
     in_cone_at = DiagonalizationResult.in_cone_at
     monkeypatch.setattr(
         DiagonalizationResult, "in_cone_at", lambda self, p, eps=1: in_cone_at(self, p)
     )
+
+
+def test_in_cone_at_ignoring_eps_fails_criterion_5(monkeypatch):
+    _ignore_eps(monkeypatch)
     assert not criterion_5(SEED, MUTATION_SCALE).passed
+
+
+def test_in_cone_at_ignoring_eps_fails_criterion_2_matrix_coherence(monkeypatch):
+    # the reference verdict comes from the transfer oracle, not from member
+    # on the entries of a diagonalization, which would share the fault
+    _ignore_eps(monkeypatch)
+    result = criterion_2(SEED, MUTATION_SCALE)
+    assert not result.passed and "matrix coherence" in result.detail
 
 
 @pytest.mark.parametrize(

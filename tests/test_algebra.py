@@ -171,10 +171,9 @@ class TestMatD:
         with pytest.raises(Singular):
             MatD(SPLIT, [[e(1), e(1)], [e(1), e(1)]]).inverse()
 
-    def test_trace_and_scale(self):
+    def test_scale_field(self):
         e = lambda n: SPLIT.from_field(n)
         m = MatD(SPLIT, [[e(2), e(7)], [e(0), e(3)]])
-        assert m.trace() == e(5)
         assert m.scale_field(Q.elem(2)) == m + m
 
     def test_block_diag_and_kron(self):
@@ -184,6 +183,12 @@ class TestMatD:
         assert kron_identity_left(2, MatD(HAMILTON, [[i]])) == MatD.diagonal(
             HAMILTON, [i, i]
         )
+
+    def test_from_blocks(self):
+        m = lambda rows: MatD(SPLIT, [[SPLIT.from_field(x) for x in r] for r in rows])
+        grid = [[m([[1, 2], [3, 4]]), m([[5], [6]])], [m([[7, 8]]), m([[9]])]]
+        assert MatD.from_blocks(SPLIT, grid) == m([[1, 2, 5], [3, 4, 6], [7, 8, 9]])
+        assert MatD.from_blocks(SPLIT, []) == MatD.zeros(SPLIT, 0, 0)
 
     def test_immutability_and_hash(self):
         m = MatD.identity(SPLIT, 2)
@@ -200,8 +205,8 @@ class TestAlgebraWithInvolution:
         x = MatD(SPLIT, [[e(0), e(1)], [e(0), e(0)]])
         assert alg.sigma(x) == MatD(SPLIT, [[e(0), e(0)], [e(-1), e(0)]])
         assert alg.sigma(alg.sigma(x)) == x
-        assert alg.is_symmetric(phi)
-        assert not alg.is_symmetric(x)
+        assert alg.sigma(phi) == phi
+        assert alg.sigma(x) != x
 
     def test_standard_involution_flag(self):
         alg = AlgebraWithInvolution(2, SPLIT, MatD.identity(SPLIT, 2))
@@ -231,5 +236,6 @@ class TestAlgebraWithInvolution:
         one, i, j, k = HAMILTON.basis()
         alg = AlgebraWithInvolution(1, HAMILTON, MatD.identity(HAMILTON, 1))
         assert alg.sigma(MatD(HAMILTON, [[i]])) == MatD(HAMILTON, [[-i]])
-        assert alg.is_symmetric(MatD(HAMILTON, [[HAMILTON.from_field(3)]]))
-        assert not alg.is_symmetric(MatD(HAMILTON, [[i]]))
+        three = MatD(HAMILTON, [[HAMILTON.from_field(3)]])
+        assert alg.sigma(three) == three
+        assert alg.sigma(MatD(HAMILTON, [[i]])) != MatD(HAMILTON, [[i]])

@@ -59,12 +59,6 @@ class TestFieldDesc:
 
 
 class TestArithmetic:
-    def test_norm_one_unit(self):
-        # (3 + 2*sqrt(2)) * (3 - 2*sqrt(2)) = 9 - 8 = 1
-        x = RT2.elem(3, 2)
-        assert x * x.conjugate() == RT2.one()
-        assert x.norm() == Fraction(1)
-
     def test_inverse(self):
         x = RT2.elem(1, 1)  # 1 + sqrt(2)
         assert x.inverse() == RT2.elem(-1, 1)
@@ -76,12 +70,6 @@ class TestArithmetic:
             RT2.zero().inverse()
         with pytest.raises(DivisionByZero):
             Q.one() / Q.zero()
-
-    def test_pow(self):
-        x = RT2.elem(1, 1)
-        assert x**2 == RT2.elem(3, 2)
-        assert x**0 == RT2.one()
-        assert x**-2 == RT2.elem(3, -2)
 
     def test_int_and_fraction_coercion(self):
         x = RT2.elem(0, 1)
@@ -277,8 +265,6 @@ class TestKernelOracle:
         elems = [FieldElem(field, a, b) for a, b in refs]
         for e, ref in zip(elems, refs):
             self.assert_canonical(e, ref)
-            self.assert_canonical(e.conjugate(), (ref[0], -ref[1]))
-            assert e.norm() == ref[0] * ref[0] - (d or 0) * ref[1] * ref[1]
             for p in orderings(field):
                 assert e.sign_at(p) == self.ref_sign(d, *ref, p)
             assert str(e) == self.ref_format(d, *ref)

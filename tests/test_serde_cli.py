@@ -261,6 +261,9 @@ class TestCommandTable:
         assert set(COMMANDS) == TASK_COMMANDS
         assert set(sub.choices) == TASK_COMMANDS | {"run", "selftest", "zoo"}
 
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
     def test_parity_cases_cover_every_command(self):
         assert {command for command, _, _ in PARITY} == set(COMMANDS)
 
