@@ -122,24 +122,26 @@ def generated_cone(
     classify(alg, p)  # validates the ordering
     forms = [rank_one(alg, s) for s in gens]  # validates every generator
     basis, norm = alg.div.basis(), alg.div.norm_form()
-    first = {}  # sign at p -> (s, G, i, beta, product): first of that sign
+    first = {}  # sign at p -> (s, diagonal, i, beta, product): first of that sign
     for s, h in zip(gens, forms):
         res = h.diagonal
         for i, e in enumerate(res.entries[: res.rank]):
             for beta, c in zip(basis, norm):
                 v = e * c
-                first.setdefault(v.sign_at(p), (s, res.witness, i, beta, v))
+                first.setdefault(v.sign_at(p), (s, res, i, beta, v))
         if len(first) == 2:
             return _refutation(alg, p, first[1], first[-1])
     return GeneratedCone(True, next(iter(first), 0))
 
 
 def _refutation(alg: AlgebraWithInvolution, p: int, pos, neg) -> GeneratedCone:
-    """Scale a positive and a negative product to u and -u, and check them."""
+    """Scale a positive and a negative product to u and -u, and check them;
+    only here is the witness G of a generator's diagonal read."""
     zero = alg.div.zero()
     cert = []
-    for (s, g, i, beta, v), sign in ((pos, 1), (neg, -1)):
+    for (s, res, i, beta, v), sign in ((pos, 1), (neg, -1)):
         # x = G * E_i1 * beta: column i of G times beta, in column 1
+        g = res.witness
         x = MatD(alg.div, [[g[r, i] * beta] + [zero] * (alg.ell - 1)
                            for r in range(alg.ell)])
         cert += [x, s, v.inverse() * sign]

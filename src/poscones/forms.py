@@ -5,21 +5,18 @@ grid of ell x ell blocks over D, assembled into one (k*ell) x (k*ell)
 matrix.  Block (j, i) must equal sigma applied to block (i, j).
 
 Diagonalization works by symmetric congruence pivoting over the division
-algebra: theta_t(G) * H * G = diag(entries) with G invertible, computed
-in exact arithmetic by a hermitian rank-one update of the trailing block
-after each pivot.  The elimination also tracks L = G^-1, and the result
-is verified in full through it: G * L == I, then
-theta_t(L) * diag(entries) * L == H, of which only one triangle is
-computed because that product is hermitian.  That check tests every
-entry of H, so H is not scanned for hermitianity before the elimination.
-Nonzero diagonal entries always lie in the symmetric elements of D, which
-is the base field, so they are returned as field elements; zero entries
-are moved to the end.
+algebra, in exact arithmetic, by a hermitian rank-one update of the
+trailing block after each pivot.  The result carries L with
+theta_t(L) * diag(entries) * L == H and is verified in full through it
+(see diagonalize); the witness G = L^-1 is built only for a caller that
+reads it.  Nonzero diagonal entries always lie in the symmetric elements
+of D, which is the base field, so they are returned as field elements;
+zero entries come last.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -31,6 +28,7 @@ from .errors import (
     InternalInvariantViolation,
     NotHermitian,
     NotSymmetric,
+    Singular,
 )
 from .field import FieldElem
 
@@ -154,12 +152,32 @@ class HermitianForm:
 
 @dataclass(frozen=True)
 class DiagonalizationResult:
-    """G and entries with theta_t(G) * H * G = diag(entries) exactly, and
-    the inverse L = G^-1 through which _verify_diagonalization proves it."""
+    """Entries and L with theta_t(L) * diag(entries) * L = H exactly and L
+    invertible, which _verify_diagonalization proves.  The witness G = L^-1,
+    with theta_t(G) * H * G = diag(entries), comes with the result of
+    diagonalize only after a manufactured pivot; otherwise it is built on
+    first read (see witness).
+    """
 
-    witness: MatD
+    _witness: MatD | None = field(compare=False, repr=False)
     entries: tuple[FieldElem, ...]
     inverse: MatD | None = None
+
+    @property
+    def witness(self) -> MatD:
+        """G = L^-1: the carried one, or else built once from L by back
+        substitution along its pattern (see _lead_columns), in about n^3/6
+        products of D, and checked by G * L == I before it is returned."""
+        if self._witness is None:
+            inv = self.inverse
+            if inv is None:
+                raise InternalInvariantViolation("diagonalization carries no inverse")
+            leads = _lead_columns(inv)
+            g = None if leads is None else _inverse_along(inv, leads)
+            if g is None or g * inv != MatD.identity(inv.alg, inv.rows):
+                raise InternalInvariantViolation("diagonalization inverse failed")
+            object.__setattr__(self, "_witness", g)
+        return self._witness
 
     @property
     def rank(self) -> int:
@@ -173,19 +191,21 @@ class DiagonalizationResult:
 def diagonalize(h: MatD, strategy: str = "first") -> DiagonalizationResult:
     """Diagonalize a theta-hermitian matrix over D by congruence.
 
-    Returns G invertible with theta_t(G) * H * G diagonal; nonzero entries
-    are base-field elements and zero entries trail.  strategy selects the
-    pivot search order ("first" or "last") and never changes rank or, at
-    any ordering where signatures are defined, the entry sign counts.
+    Returns the entries, base-field elements with the zero ones trailing,
+    and L invertible with theta_t(L) * diag(entries) * L == H; its witness
+    G = L^-1 makes theta_t(G) * H * G diagonal.  strategy selects the pivot
+    search order ("first" or "last") and never changes rank or, at any
+    ordering where signatures are defined, the entry sign counts.
 
     A pivot a = w_pp updates the upper triangle of the trailing block by
-    w_rs += theta(x_r) * w_ps, x_r = -a^-1 * w_pr, mirrored below, and G
-    gains G[:, p] * x_r in column r: about n^3/3 products of D in all.
-    The inverse L = G^-1 follows each step on its rows (row p loses
-    sum x_r * row r), where rows not yet pivoted are permutation rows
+    w_rs += theta(x_r) * w_ps, x_r = -a^-1 * w_pr, mirrored below: about
+    n^3/6 products of D in all.  L follows each step on its rows (row p
+    loses sum x_r * row r), where rows not yet pivoted are permutation rows
     unless a manufactured pivot touched them, so tracking L costs almost
-    no products.  The result carries L, and the identity is checked
-    through it in about n^3/3 more products.
+    no products.  Without a manufactured pivot, L is unit upper triangular
+    after a column permutation, which the check proves with no product;
+    after one, G = L^-1 is built at once and checked by G * L == I.  Then
+    the identity is checked through L in about n^3/6 more products.
 
     The mirroring assumes a hermitian input, which is not scanned for up
     front: the check compares every entry of H, so anything else fails
@@ -212,26 +232,18 @@ def _eliminate(h: MatD, last: bool) -> DiagonalizationResult:
     alg = h.alg
     n = h.rows
     work = [list(r) for r in h.entries]
-    g = [list(r) for r in MatD.identity(alg, n).entries]
     one = alg.one()
-    inv = [{r: one} for r in range(n)]  # rows of L = G^-1 by their support
+    inv = [{r: one} for r in range(n)]  # rows of L by their support
+    manufactured = False
 
     def swap(i: int, j: int) -> None:
         for r in range(n):
             work[r][i], work[r][j] = work[r][j], work[r][i]
-            g[r][i], g[r][j] = g[r][j], g[r][i]
         work[i], work[j] = work[j], work[i]
         inv[i], inv[j] = inv[j], inv[i]
 
-    def sub_rows(k: int, pairs) -> None:
-        # row k of L -= x * row r for each (r, x); a factor one is not multiplied
-        lk = inv[k]
-        for r, x in pairs:
-            for c, v in inv[r].items():
-                t = x if v is one else x * v
-                lk[c] = lk[c] - t if c in lk else -t
-
-    # step p works on the hermitian block from p on and leaves row p stale
+    # step p works on the hermitian block from p on and leaves row p stale;
+    # it stops only when that block vanishes, so the zero entries trail
     for p in range(n):
         idx = range(p, n) if not last else range(n - 1, p - 1, -1)
         piv = next((i for i in idx if not work[i][i].is_zero()), None)
@@ -257,10 +269,8 @@ def _eliminate(h: MatD, last: bool) -> DiagonalizationResult:
                     work[r][i] = work[r][i] + work[r][j] * x
                     wi[r] = work[r][i].theta()
             wi[i] = d
-            for row in g:
-                if row[j]:
-                    row[i] = row[i] + row[j] * x
-            sub_rows(j, [(i, x)])
+            _sub_rows(inv, j, [(i, x)], one)
+            manufactured = True
             piv = i
         if piv != p:
             swap(piv, p)
@@ -275,47 +285,103 @@ def _eliminate(h: MatD, last: bool) -> DiagonalizationResult:
             for s in support[k + 1 :]:
                 wr[s] = wr[s] + xt * wp[s]
                 work[s][r] = wr[s].theta()
-        for row in g:
-            if row[p]:
-                for r, x in zip(support, xs):
-                    row[r] = row[r] + row[p] * x
-        sub_rows(p, zip(support, xs))
+        _sub_rows(inv, p, zip(support, xs), one)
 
-    # move zero diagonal entries to the end by a symmetric permutation
-    order = [i for i in range(n) if not work[i][i].is_zero()] + [
-        i for i in range(n) if work[i][i].is_zero()
-    ]
     entries = []
-    for i in order:
+    for i in range(n):
         e = work[i][i]
         if not e.is_scalar():
             raise InternalInvariantViolation("non-scalar diagonal entry")
         entries.append(e.scalar())
-    witness = MatD(alg, [[g[r][c] for c in order] for r in range(n)])
     zero = alg.zero()
-    inverse = MatD(alg, [[inv[r].get(c, zero) for c in range(n)] for r in order])
-
+    inverse = MatD(alg, [[row.get(c, zero) for c in range(n)] for row in inv])
+    witness = None
+    if manufactured:
+        try:
+            witness = inverse.inverse()
+        except Singular:
+            raise InternalInvariantViolation("diagonalization inverse failed") from None
     return DiagonalizationResult(witness, tuple(entries), inverse)
 
 
-def _verify_diagonalization(h: MatD, res: DiagonalizationResult) -> None:
-    """Prove theta_t(G) * H * G == diag(entries) with G invertible, via L.
+def _sub_rows(rows: list[dict], k: int, pairs, one: DElem) -> None:
+    """rows[k] -= x * rows[r] for each (r, x), on rows kept by their support;
+    a factor one is not multiplied."""
+    lk = rows[k]
+    for r, x in pairs:
+        for c, v in rows[r].items():
+            t = x if v is one else x * v
+            lk[c] = lk[c] - t if c in lk else -t
 
-    First G * L == I, which makes G invertible with L = G^-1 (a one-sided
-    inverse of a square matrix over a division ring is two-sided).  Then
-    theta_t(L) * diag(entries) * L == H, so that theta_t(G) * H * G is
-    theta_t(L G) * diag(entries) * (L G) = diag(entries).  The second
-    product is hermitian by algebra, as the entries are central and
+
+def _lead_columns(inv: MatD) -> list[int] | None:
+    """The lead column of each row of L when L is unit upper triangular
+    after a column permutation, else None; no product is formed.
+
+    The rows are scanned from last to first.  Each must have exactly one
+    nonzero entry outside the lead columns of the rows below it, and that
+    entry, its lead, must be one.  Then L[p][lead[q]] is zero for q < p and
+    one for q == p, so L times the permutation taking column q to lead[q]
+    is unit upper triangular, and L is invertible.  An elimination with no
+    manufactured pivot leaves L so: its row p is e_c(p) - sum over r > p of
+    x_r * e_c(r), with c(r) the lead of row r.
+    """
+    one, n = inv.alg.one(), inv.rows
+    leads, taken = [0] * n, set()
+    for p in range(n - 1, -1, -1):
+        row = inv.entries[p]
+        free = [c for c, x in enumerate(row) if x and c not in taken]
+        if len(free) != 1 or row[free[0]] != one:
+            return None
+        leads[p] = free[0]
+        taken.add(free[0])
+    return leads
+
+
+def _inverse_along(inv: MatD, leads: list[int]) -> MatD:
+    """L^-1 for L with the lead columns of _lead_columns.
+
+    With M[q][r] = L[q][lead[r]], unit upper triangular, row q of M^-1 is
+    e_q - sum over r > q of M[q][r] * (row r of M^-1), filled from the last
+    row up, and row lead[q] of L^-1 is row q of M^-1.
+    """
+    alg, n = inv.alg, inv.rows
+    one, zero = alg.one(), alg.zero()
+    m_inv = [{q: one} for q in range(n)]  # rows of M^-1 by their support
+    for q in range(n - 1, -1, -1):
+        mrow = [inv.entries[q][c] for c in leads]
+        _sub_rows(m_inv, q, [(r, mrow[r]) for r in range(q + 1, n) if mrow[r]], one)
+    g = [None] * n
+    for q, row in enumerate(m_inv):
+        g[leads[q]] = [row.get(k, zero) for k in range(n)]
+    return MatD(alg, g)
+
+
+def _verify_diagonalization(h: MatD, res: DiagonalizationResult) -> None:
+    """Prove theta_t(L) * diag(entries) * L == H with L invertible.
+
+    A result that carries a G proves L invertible by G * L == I, which
+    makes L = G^-1 (a one-sided inverse of a square matrix over a division
+    ring is two-sided).  One that carries none must pass the pattern test
+    of _lead_columns instead, which needs no product; else it is refused.
+    Then theta_t(L) * diag(entries) * L == H, so that theta_t(G) * H * G =
+    theta_t(L G) * diag(entries) * (L G) = diag(entries) for G = L^-1.
+    That product is hermitian by algebra, as the entries are central and
     symmetric: only its entries with i <= j are computed, each compared
     with H_ij and its theta with H_ji, so every entry of H is tested.
     """
-    g, inv, d = res.witness, res.inverse, res.entries
+    g, inv, d = res._witness, res.inverse, res.entries
     if inv is None:
         raise InternalInvariantViolation("diagonalization carries no inverse")
     alg, n = h.alg, h.rows
-    if (g.rows, g.cols, inv.rows, inv.cols, len(d)) != (n,) * 5:
+    if len(d) != n or any(
+        (m.rows, m.cols) != (n, n) for m in (g, inv) if m is not None
+    ):
         raise InternalInvariantViolation("diagonalization has the wrong shape")
-    if g * inv != MatD.identity(alg, n):
+    if g is not None:
+        if g * inv != MatD.identity(alg, n):
+            raise InternalInvariantViolation("diagonalization inverse failed")
+    elif _lead_columns(inv) is None:
         raise InternalInvariantViolation("diagonalization inverse failed")
     zero = alg.zero()
     s = [[zero] * n for _ in range(n)]

@@ -138,6 +138,21 @@ class TestGeneratedCone:
             assert generated_cone(alg, gens, 0) == GeneratedCone(True, 1)
             self._check_refutation(alg, gens, 1, generated_cone(alg, gens, 1))
 
+    def test_only_a_refutation_reads_witnesses(self, monkeypatch):
+        # a diagonal builds its witness G on first read: a proper answer
+        # reads none, and a refutation at most those of its two generators
+        built = []
+        build = poscones.forms._inverse_along
+        monkeypatch.setattr(
+            poscones.forms, "_inverse_along", lambda *a: built.append(a) or build(*a)
+        )
+        alg = zoo_algebra("quat-q-2")
+        assert generated_cone(alg, [alg.identity()], 0) == GeneratedCone(True, 1)
+        assert built == []
+        gens = [alg.identity(), -alg.phi]
+        self._check_refutation(alg, gens, 0, generated_cone(alg, gens, 0))
+        assert 1 <= len(built) <= 2
+
     def test_zero_generators_give_the_zero_cone(self):
         alg = zoo_algebra("quad-rt2-2")
         for p in (0, 1):

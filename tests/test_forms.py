@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from poscones import (
-    AlgebraWithInvolution,
     DimensionMismatch,
     DivisionAlgebraDesc,
     FieldDesc,
@@ -32,7 +31,11 @@ from poscones import (
     zoo_algebra,
     zoo_names,
 )
-from poscones.forms import DiagonalizationResult, _verify_diagonalization
+from poscones.forms import (
+    DiagonalizationResult,
+    _lead_columns,
+    _verify_diagonalization,
+)
 from poscones.sampling import (
     rand_delem,
     rand_hermitian,
@@ -81,7 +84,7 @@ class TestDiagonalize:
         res = diagonalize(h)
         rows = [list(r) for r in res.witness.entries]
         rows[0][1] = rows[1][1] = SPLIT.zero()
-        broken = dataclasses.replace(res, witness=MatD(SPLIT, rows))
+        broken = DiagonalizationResult(MatD(SPLIT, rows), res.entries, res.inverse)
         # theta_t(G) H G == diag(entries) still holds for the singular G, and
         # theta_t(L) diag(entries) L == H for the inverse it carries, so only
         # the G * L == I step can refuse it
@@ -95,7 +98,7 @@ class TestDiagonalize:
         h = MatD.zeros(SPLIT, 2, 2)
         res = diagonalize(h)
         assert res.inverse == MatD.identity(SPLIT, 2)
-        broken = dataclasses.replace(res, witness=qmat([[1, 1], [0, 0]]))
+        broken = DiagonalizationResult(qmat([[1, 1], [0, 0]]), res.entries, res.inverse)
         with pytest.raises(InternalInvariantViolation, match="inverse failed"):
             _verify_diagonalization(h, broken)
 
@@ -332,13 +335,90 @@ class TestInverseWitness:
                 i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
                 entries = list(res.entries)
                 entries[k] = entries[k] + rng.choice((1, -1, Fraction(1, 3)))
+                g, inv = res.witness, res.inverse
                 for broken in (
-                    dataclasses.replace(res, inverse=bumped(res.inverse, i, j, x)),
-                    dataclasses.replace(res, witness=bumped(res.witness, i, j, x)),
-                    dataclasses.replace(res, entries=tuple(entries)),
+                    DiagonalizationResult(g, res.entries, bumped(inv, i, j, x)),
+                    DiagonalizationResult(bumped(g, i, j, x), res.entries, inv),
+                    DiagonalizationResult(g, tuple(entries), inv),
                 ):
                     with pytest.raises(InternalInvariantViolation):
                         _verify_diagonalization(h, broken)
+
+
+def refused(h, res, match):
+    with pytest.raises(InternalInvariantViolation, match=match):
+        _verify_diagonalization(h, res)
+
+
+class TestLeadPattern:
+    """Without a manufactured pivot a result carries no G, and L is proved
+    invertible by its pattern alone (_lead_columns); after one, G comes
+    with it.  A one-entry change to a G-free result is refused, and so is
+    an invertible L off the pattern unless its true G is supplied."""
+
+    def test_manufactured_pivot_needs_its_g(self):
+        h = qmat([[0, 1], [1, 0]])
+        res = diagonalize(h)
+        half = Fraction(1, 2)
+        assert res.inverse == qmat([[half, half], [-1, 1]])
+        assert _lead_columns(res.inverse) is None
+        bare = DiagonalizationResult(None, res.entries, res.inverse)
+        refused(h, bare, "inverse failed")
+        with pytest.raises(InternalInvariantViolation, match="inverse failed"):
+            bare.witness
+        g = res.inverse.inverse()
+        assert res.witness == g
+        _verify_diagonalization(h, DiagonalizationResult(g, res.entries, res.inverse))
+
+    def test_witness_is_built_once_and_needs_l(self):
+        h = qmat([[2, 1], [1, 1]])
+        res = diagonalize(h)
+        assert _lead_columns(res.inverse) == [0, 1]
+        assert res.witness is res.witness
+        assert res.witness == res.inverse.inverse()
+        with pytest.raises(InternalInvariantViolation, match="no inverse"):
+            DiagonalizationResult(None, res.entries).witness
+
+    @pytest.mark.parametrize("name", zoo_names())
+    def test_one_change_to_a_g_free_result_is_caught(self, name):
+        div = zoo_algebra(name).div
+        rng = random.Random(f"pattern:{name}")
+        on = off = 0
+        for h in oracle_inputs(name):
+            n = h.rows
+            for strategy in ("first", "last"):
+                res = diagonalize(h, strategy)
+                d, inv = res.entries, res.inverse
+                leads = _lead_columns(inv)
+                if leads is None:
+                    off += 1
+                    refused(h, DiagonalizationResult(None, d, inv), "inverse failed")
+                    with_g = DiagonalizationResult(res.witness, d, inv)
+                    _verify_diagonalization(h, with_g)
+                    continue
+                on += 1
+                x = next(y for y in iter(lambda: rand_delem(rng, div), None) if y)
+
+                def bare(i, j):
+                    return DiagonalizationResult(None, d, bumped(inv, i, j, x))
+
+                p = rng.randrange(n)
+                refused(h, bare(p, leads[p]), "inverse failed")  # a lead
+                if n > 1:
+                    p = rng.randrange(1, n)  # a zero the pattern requires
+                    refused(h, bare(p, leads[rng.randrange(p)]), "inverse failed")
+                # a free entry, in a row that the identity reads
+                rows = [q for q in range(n - 1) if not d[q].is_zero()]
+                if rows:
+                    q = rng.choice(rows)
+                    free = leads[rng.randrange(q + 1, n)]
+                    refused(h, bare(q, free), "identity failed")
+                entries = list(d)
+                k = rng.randrange(n)
+                entries[k] = entries[k] + rng.choice((1, -1, Fraction(1, 3)))
+                changed = DiagonalizationResult(None, tuple(entries), inv)
+                refused(h, changed, "identity failed")
+        assert on and off
 
 
 class TestKernelFault:

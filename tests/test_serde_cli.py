@@ -18,8 +18,6 @@ from poscones import (
     ParseError,
     classify_all,
     diag_form,
-    rank_one,
-    unit_form,
     zoo_algebra,
     zoo_names,
 )

@@ -27,7 +27,6 @@ from poscones import (
     rank_one,
     sign_eta,
     tensor,
-    times,
     trace_form,
     unit_form,
     x_tilde,

@@ -1,8 +1,9 @@
 """Static checks on the library source, with the stdlib ast module only.
 
-No module of the package (other than __init__.py, which re-exports)
-imports a name it never reads, and no function assigns a local it never
-reads; names starting with "_" are exempt from the second check.
+No module of the package (other than __init__.py, which re-exports) and
+no test module imports a name it never reads, and no function of the
+package assigns a local it never reads; names starting with "_" are
+exempt from the second check.
 """
 
 import ast
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "poscones"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "poscones"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+IMPORTERS = MODULES + sorted(TESTS.glob("*.py"))
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
            ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
@@ -43,7 +46,7 @@ def _stored(fn):
     return out
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: p.name)
 def test_every_imported_name_is_read(path):
     tree = _tree(path)
     loaded = _loaded(tree)
