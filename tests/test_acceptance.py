@@ -7,26 +7,26 @@ capture suspended so the verdicts stay visible in the pytest output.
 
 import dataclasses
 import re
+import sys
 import time
 
 import pytest
 
 import poscones.acceptance
 import poscones.forms
+import poscones.orders
 import poscones.signature
 from poscones.acceptance import (
     CRITERIA,
     criterion_2,
     criterion_4,
-    criterion_5,
     criterion_7,
-    criterion_8,
     criterion_9,
     run_all,
 )
 from poscones.algebra import DivisionAlgebraDesc, MatD
 from poscones.errors import InternalInvariantViolation
-from poscones.forms import DiagonalizationResult
+from poscones.forms import DiagonalizationResult, QuadraticFormF, times
 
 SEED = 0
 SCALE = 1.0
@@ -91,34 +91,121 @@ def test_a_raising_criterion_keeps_its_title(monkeypatch):
     assert result.name == poscones.acceptance.TITLES[1]
 
 
-def test_negated_diagonals_fail_criteria_4_and_7(monkeypatch):
+def _everywhere(monkeypatch, owner, name, make):
+    """owner.name becomes make(owner.name), in owner and in every loaded
+    poscones module that imported the name."""
+    old = getattr(owner, name)
+    new = make(old)
+    monkeypatch.setattr(owner, name, new)
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("poscones.") and vars(mod).get(name) is old:
+            monkeypatch.setattr(mod, name, new)
+
+
+def _negate_entries(monkeypatch):
     # every entry negated, except on the identity, so that m_p's re-check of
     # <phi> still passes: only the transfer oracle can see the flipped signs
-    diagonalize = poscones.forms.diagonalize
+    def make(diagonalize):
+        def negated(h, strategy="first"):
+            res = diagonalize(h, strategy)
+            if h == MatD.identity(h.alg, h.rows):
+                return res
+            return dataclasses.replace(res, entries=tuple(-e for e in res.entries))
+        return negated
 
-    def negated(h, strategy="first"):
-        res = diagonalize(h, strategy)
-        if h == MatD.identity(h.alg, h.rows):
-            return res
-        return dataclasses.replace(res, entries=tuple(-e for e in res.entries))
-
-    monkeypatch.setattr(poscones.forms, "diagonalize", negated)
-    monkeypatch.setattr(poscones.acceptance, "diagonalize", negated)
-    for criterion, detail in ((criterion_4, "transfer oracle"), (criterion_7, "inertia")):
-        result = criterion(SEED, MUTATION_SCALE)
-        assert not result.passed and detail in result.detail
+    _everywhere(monkeypatch, poscones.forms, "diagonalize", make)
 
 
 def _ignore_eps(monkeypatch):
-    in_cone_at = DiagonalizationResult.in_cone_at
-    monkeypatch.setattr(
-        DiagonalizationResult, "in_cone_at", lambda self, p, eps=1: in_cone_at(self, p)
+    _everywhere(
+        monkeypatch, DiagonalizationResult, "in_cone_at",
+        lambda in_cone_at: lambda self, p, eps=1: in_cone_at(self, p),
     )
 
 
-def test_in_cone_at_ignoring_eps_fails_criterion_5(monkeypatch):
-    _ignore_eps(monkeypatch)
-    assert not criterion_5(SEED, MUTATION_SCALE).passed
+def _mutate_norm_form(mutate):
+    def fault(monkeypatch):
+        _everywhere(
+            monkeypatch, DivisionAlgebraDesc, "norm_form",
+            lambda norm_form: lambda self: tuple(mutate(c) for c in norm_form(self)),
+        )
+    return fault
+
+
+def _mutate_quaternion_classes(**change):
+    # change maps an OrderingInfo field to a function of its old value
+    def make(classify):
+        def mutated(alg, p):
+            info = classify(alg, p)
+            if alg.div.kind != "quat":
+                return info
+            return dataclasses.replace(
+                info, **{k: f(getattr(info, k)) for k, f in change.items()}
+            )
+        return mutated
+
+    return lambda monkeypatch: _everywhere(monkeypatch, poscones.orders, "classify", make)
+
+
+def _square_tensor_coefficients(monkeypatch):
+    _everywhere(
+        monkeypatch, poscones.forms, "tensor",
+        lambda tensor: lambda q, h: tensor(
+            QuadraticFormF(tuple(u * u for u in q.entries)), h
+        ),
+    )
+
+
+def _double_equal_rank_sums(monkeypatch):
+    _everywhere(
+        monkeypatch, poscones.forms, "direct_sum",
+        lambda direct_sum: lambda h1, h2: (
+            times(2, h1) if h1.rank == h2.rank else direct_sum(h1, h2)
+        ),
+    )
+
+
+# fault -> the criteria that must fail under it (by number); a criterion
+# that raises counts as failing, as run_all reports it
+FAULT_MATRIX = {
+    "entries-negated": (_negate_entries, {1, 2, 4, 5, 7, 8, 9}),
+    "in-cone-at-ignores-eps": (_ignore_eps, {2, 5, 8}),
+    "norm-form-negated": (_mutate_norm_form(lambda c: -c), {6, 8, 10}),
+    "norm-form-all-ones": (_mutate_norm_form(lambda c: c.field.one()), {6, 8, 10}),
+    "quaternion-nil-flipped": (
+        _mutate_quaternion_classes(nil=lambda nil: not nil), {1, 2, 4, 6, 7, 8, 9, 10}
+    ),
+    "quaternion-n-p-doubled": (
+        _mutate_quaternion_classes(n_p=lambda n: 2 * n), {4, 6, 7, 8, 10}
+    ),
+    "tensor-squares-coefficients": (_square_tensor_coefficients, {3}),
+    "direct-sum-doubles-equal-ranks": (_double_equal_rank_sums, {3}),
+}
+
+
+def _fails(criterion):
+    try:
+        return not criterion(SEED, MUTATION_SCALE).passed
+    except Exception:
+        return True
+
+
+@pytest.mark.parametrize("fault, failing", FAULT_MATRIX.values(), ids=FAULT_MATRIX)
+def test_fault_matrix(monkeypatch, fault, failing):
+    fault(monkeypatch)
+    assert [n for n in sorted(failing) if not _fails(CRITERIA[n - 1])] == []
+
+
+def test_every_criterion_fails_under_some_fault():
+    caught = set().union(*(failing for _, failing in FAULT_MATRIX.values()))
+    assert caught == set(range(1, len(CRITERIA) + 1))
+
+
+def test_negated_diagonals_fail_criteria_4_and_7(monkeypatch):
+    _negate_entries(monkeypatch)
+    for criterion, detail in ((criterion_4, "transfer oracle"), (criterion_7, "inertia")):
+        result = criterion(SEED, MUTATION_SCALE)
+        assert not result.passed and detail in result.detail
 
 
 def test_in_cone_at_ignoring_eps_fails_criterion_2_matrix_coherence(monkeypatch):
@@ -127,23 +214,6 @@ def test_in_cone_at_ignoring_eps_fails_criterion_2_matrix_coherence(monkeypatch)
     _ignore_eps(monkeypatch)
     result = criterion_2(SEED, MUTATION_SCALE)
     assert not result.passed and "matrix coherence" in result.detail
-
-
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda c: -c,  # every product e * c_beta changes sign
-        lambda c: c.field.one(),  # the norm form is read as definite at nil P
-    ],
-    ids=["flipped-sign", "norm-form-ignored"],
-)
-def test_a_broken_generated_cone_sign_test_fails_criterion_8(monkeypatch, mutate):
-    norm_form = DivisionAlgebraDesc.norm_form
-    monkeypatch.setattr(
-        DivisionAlgebraDesc, "norm_form",
-        lambda self: tuple(mutate(c) for c in norm_form(self)),
-    )
-    assert not criterion_8(SEED, MUTATION_SCALE).passed
 
 
 def test_criterion_9_sees_maximal_elements_at_small_scale():
