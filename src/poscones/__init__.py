@@ -59,7 +59,6 @@ from .forms import (
     rank_one,
     tensor,
     times,
-    unit_form,
     weakly_represents,
 )
 from .morita import full_reduction, standard_algebra
@@ -67,7 +66,6 @@ from .orders import (
     OrderingInfo,
     classify,
     classify_all,
-    orderings_of,
     x_tilde,
 )
 from .signature import (
@@ -123,7 +121,6 @@ __all__ = [
     "m_p",
     "member",
     "orderings",
-    "orderings_of",
     "parse_elem",
     "positive_involution_at",
     "pre_sylvester",
@@ -133,7 +130,6 @@ __all__ = [
     "tensor",
     "times",
     "trace_form",
-    "unit_form",
     "weakly_represents",
     "x_tilde",
     "zoo_algebra",

@@ -1,10 +1,17 @@
 """Acceptance checks run over the built-in algebra zoo.
 
-Each criterion is a function returning a CriterionResult; run_all drives
-all ten.  The checks are exact: random inputs are seeded, every verdict
-is decided in rational arithmetic, and failures carry a description of
-the first offending instance.  The scale parameter shrinks the sample
-counts proportionally for quick smoke runs; scale=1.0 is the full suite.
+A criterion registers once, with @_criterion(title) on its body: its
+number is its position in CRITERIA, which is the order of definition
+below, and its title is filed in TITLES under that number.  The body
+takes (rngs, scale), where rngs(key) is the criterion's own seeded
+random.Random for key, and returns its pass detail; at the first
+offending instance it raises _Fail(detail).  CRITERIA holds the
+registered functions fn(seed, scale) -> CriterionResult, and run_all
+drives them all.  The checks are exact: random inputs are seeded, every
+verdict is decided in rational arithmetic, and failures carry a
+description of the first offending instance.  The scale parameter
+shrinks the sample counts proportionally for quick smoke runs; scale=1.0
+is the full suite.
 """
 
 from __future__ import annotations
@@ -13,8 +20,8 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, wraps
+from typing import Callable, Iterator
 
 from .algebra import AlgebraWithInvolution, DivisionAlgebraDesc, MatD
 from .cones import (
@@ -26,7 +33,7 @@ from .cones import (
     member,
     positive_involution_at,
 )
-from .field import FieldDesc
+from .field import FieldDesc, orderings
 from .forms import (
     HermitianForm,
     QuadraticFormF,
@@ -37,7 +44,7 @@ from .forms import (
     tensor,
 )
 from .morita import standard_algebra
-from .orders import classify, orderings_of, x_tilde
+from .orders import classify, x_tilde
 from .sampling import (
     rand_fieldelem,
     rand_hermitian,
@@ -70,18 +77,41 @@ class CriterionResult:
         return TITLES[self.number]
 
 
-TITLES = {
-    1: "diagonalization soundness and pivot-strategy invariance",
-    2: "membership coherence between M_ell(D) and D",
-    3: "signature laws (hyperbolic, additive, multiplicative)",
-    4: "rank-one signature bound, witness, and nil vanishing",
-    5: "split cones match the principal-minor PSD oracle",
-    6: "positive involutions exist off nil and never on nil",
-    7: "scalar decomposition, inertia, and normalized signature",
-    8: "sampled cone closures stay inside and stay proper",
-    9: "maximality matches cone membership on all ordering subsets",
-    10: "identity positivity: cones, signature, trace form agree",
-}
+CRITERIA: list[Callable[[int, float], CriterionResult]] = []
+TITLES: dict[int, str] = {}
+
+
+class _Fail(Exception):
+    """A criterion body's verdict at its first offending instance."""
+
+
+def _criterion(title: str):
+    """Register body(rngs, scale) -> pass detail as the next criterion."""
+
+    def register(body):
+        number = len(CRITERIA) + 1
+        TITLES[number] = title
+
+        @wraps(body)
+        def run(seed: int, scale: float = 1.0) -> CriterionResult:
+            def rngs(key) -> random.Random:
+                return random.Random(f"{seed}:c{number}:{key}")
+
+            try:
+                return CriterionResult(number, True, body(rngs, scale))
+            except _Fail as fail:
+                return CriterionResult(number, False, str(fail))
+
+        CRITERIA.append(run)
+        return run
+
+    return register
+
+
+def _zoo(rngs) -> Iterator[tuple[str, AlgebraWithInvolution, random.Random]]:
+    """(name, algebra, its seeded generator) for every zoo algebra."""
+    for zname, alg in zoo_all().items():
+        yield zname, alg, rngs(zname)
 
 
 def _count(base: int, scale: float) -> int:
@@ -98,7 +128,7 @@ def _random_form(
     return HermitianForm(alg, rank, gram, _checked=True)
 
 
-# -- the transfer oracle: reference signs for criteria 1, 2, 4, 7, 8 and 9 -----
+# -- the transfer oracle: reference signs for every signature criterion --------
 #
 # The oracle shares no code with the reduction, diagonalize, in_cone_at or
 # generated_cone.  The Scharlau transfer S of a theta_t-hermitian m over D
@@ -183,14 +213,14 @@ def _sign_counts(coeffs: list, p: int) -> tuple[int, int, int]:
     return n - neg - zero, neg, zero
 
 
-# -- criterion 1: diagonalization soundness -----------------------------------
+# -- diagonalization soundness -------------------------------------------------
 
 
-def criterion_1(seed: int, scale: float = 1.0) -> CriterionResult:
+@_criterion("diagonalization soundness and pivot-strategy invariance")
+def diagonalization_soundness(rngs, scale: float) -> str:
     per_algebra = _count(300, scale)
     checked = 0
-    for zname, alg in zoo_all().items():
-        rng = random.Random(f"{seed}:c1:{zname}")
+    for zname, alg, rng in _zoo(rngs):
         div = alg.div
         live = x_tilde(standard_algebra(1, div))
         for i in range(per_algebra):
@@ -202,31 +232,27 @@ def criterion_1(seed: int, scale: float = 1.0) -> CriterionResult:
                 lhs = res.witness.theta_t() * h * res.witness
                 rhs = MatD.diagonal(div, [div.from_field(e) for e in res.entries])
                 if lhs != rhs:
-                    return CriterionResult(
-                        1, False, f"congruence identity failed on {zname}"
-                    )
+                    raise _Fail(f"congruence identity failed on {zname}")
                 for p in live:
                     signs = [e.sign_at(p) for e in res.entries]
                     counts = tuple(div.dim * signs.count(x) for x in (1, -1, 0))
                     if counts != _sign_counts(poly, p):
-                        return CriterionResult(
-                            1, False, f"sign counts of the {strat!r} strategy "
-                            f"missed the transfer oracle on {zname} at P{p}",
+                        raise _Fail(
+                            f"sign counts of the {strat!r} strategy "
+                            f"missed the transfer oracle on {zname} at P{p}"
                         )
             checked += 1
-    return CriterionResult(
-        1, True, f"{checked} matrices matched the transfer oracle under both strategies"
-    )
+    return f"{checked} matrices matched the transfer oracle under both strategies"
 
 
-# -- criterion 2: membership coherence between M_ell(D) and D -----------------
+# -- membership coherence between M_ell(D) and D -------------------------------
 
 
-def criterion_2(seed: int, scale: float = 1.0) -> CriterionResult:
+@_criterion("membership coherence between M_ell(D) and D")
+def membership_coherence(rngs, scale: float) -> str:
     per_algebra = _count(200, scale)
     checked = 0
-    for zname, alg in zoo_all().items():
-        rng = random.Random(f"{seed}:c2:{zname}")
+    for zname, alg, rng in _zoo(rngs):
         div = alg.div
         ell = alg.ell
         base = standard_algebra(1, div)
@@ -244,18 +270,14 @@ def criterion_2(seed: int, scale: float = 1.0) -> CriterionResult:
                 lifted[0][0] = d_el
                 up_u = MatD(div, lifted)
                 if member(down_u, kd) != member(up_u, ku):
-                    return CriterionResult(
-                        2, False, f"scalar coherence failed on {zname}"
-                    )
+                    raise _Fail(f"scalar coherence failed on {zname}")
                 # matrix coherence: membership above equals the transfer
                 # oracle's verdict (phi = 1, so b is its own reduction): no
                 # eigenvalue of sign -eps at p
                 b = rand_hermitian(rng, div, ell, singular=(i % 3 == 0))
                 counts = _sign_counts(_charpoly(_transfer_gram(b), div.base), p)
                 if member(b, ku) != (counts[(1 + kd.eps) // 2] == 0):
-                    return CriterionResult(
-                        2, False, f"matrix coherence failed on {zname}"
-                    )
+                    raise _Fail(f"matrix coherence failed on {zname}")
                 # value coherence: pairings of a cone member land below
                 lam = [
                     rand_positive_at(rng, div.base, p)
@@ -272,27 +294,23 @@ def criterion_2(seed: int, scale: float = 1.0) -> CriterionResult:
                     * r
                 )
                 if not member(inside, ku):
-                    return CriterionResult(
-                        2, False, f"constructed member escaped on {zname}"
-                    )
+                    raise _Fail(f"constructed member escaped on {zname}")
                 x = rand_matd(rng, div, ell, 1)
                 val = x.theta_t() * inside * x
                 if not member(val, kd):
-                    return CriterionResult(
-                        2, False, f"pairing value escaped on {zname}"
-                    )
+                    raise _Fail(f"pairing value escaped on {zname}")
                 checked += 1
-    return CriterionResult(2, True, f"{checked} coherence samples agreed")
+    return f"{checked} coherence samples agreed"
 
 
-# -- criterion 3: signature laws ----------------------------------------------
+# -- signature laws -------------------------------------------------------------
 
 
-def criterion_3(seed: int, scale: float = 1.0) -> CriterionResult:
+@_criterion("signature laws (hyperbolic, additive, multiplicative)")
+def signature_laws(rngs, scale: float) -> str:
     per_algebra = _count(20, scale)
     checked = 0
-    for zname, alg in zoo_all().items():
-        rng = random.Random(f"{seed}:c3:{zname}")
+    for zname, alg, rng in _zoo(rngs):
         for _ in range(per_algebra):
             h1 = _random_form(rng, alg, 1 + rng.randrange(2))
             h2 = _random_form(rng, alg, 1 + rng.randrange(2))
@@ -304,32 +322,28 @@ def criterion_3(seed: int, scale: float = 1.0) -> CriterionResult:
                 )
             )
             hyp = diag_form(alg, [a, -a])
-            for p in orderings_of(alg):
+            for p in orderings(alg.field):
                 if sign_eta(hyp, p) != 0:
-                    return CriterionResult(
-                        3, False, f"hyperbolic form had nonzero sign on {zname}"
-                    )
+                    raise _Fail(f"hyperbolic form had nonzero sign on {zname}")
                 if sign_eta(direct_sum(h1, h2), p) != sign_eta(h1, p) + sign_eta(
                     h2, p
                 ):
-                    return CriterionResult(3, False, f"additivity failed on {zname}")
+                    raise _Fail(f"additivity failed on {zname}")
                 if sign_eta(tensor(q, h1), p) != q.sign_at(p) * sign_eta(h1, p):
-                    return CriterionResult(
-                        3, False, f"multiplicativity failed on {zname}"
-                    )
+                    raise _Fail(f"multiplicativity failed on {zname}")
             checked += 1
-    return CriterionResult(3, True, f"{checked} instances obeyed all laws")
+    return f"{checked} instances obeyed all laws"
 
 
-# -- criterion 4: maximal rank-one signature ----------------------------------
+# -- maximal rank-one signature -------------------------------------------------
 
 
-def criterion_4(seed: int, scale: float = 1.0) -> CriterionResult:
+@_criterion("rank-one signature bound, witness, and nil vanishing")
+def rank_one_signatures(rngs, scale: float) -> str:
     per_algebra = _count(500, scale)
     checked = 0
-    for zname, alg in zoo_all().items():
-        rng = random.Random(f"{seed}:c4:{zname}")
-        infos = {p: classify(alg, p) for p in orderings_of(alg)}
+    for zname, alg, rng in _zoo(rngs):
+        infos = {p: classify(alg, p) for p in orderings(alg.field)}
         dim = alg.div.dim
         for p, info in infos.items():
             if not info.nil:
@@ -337,9 +351,9 @@ def criterion_4(seed: int, scale: float = 1.0) -> CriterionResult:
                 poly = _charpoly(_transfer_gram(alg.phi_inv * witness), alg.field)
                 pos, neg, _ = _sign_counts(poly, p)
                 if value != info.n_p or dim * value != pos - neg:
-                    return CriterionResult(
-                        4, False, f"m_p {value} missed n_P or the transfer "
-                        f"oracle on {zname} at P{p}",
+                    raise _Fail(
+                        f"m_p {value} missed n_P or the transfer "
+                        f"oracle on {zname} at P{p}"
                     )
         for _ in range(per_algebra):
             a = rand_invertible_symmetric(rng, alg)
@@ -349,21 +363,19 @@ def criterion_4(seed: int, scale: float = 1.0) -> CriterionResult:
                 s = sign_eta(h, p)
                 if info.nil:
                     if s != 0:
-                        return CriterionResult(
-                            4, False, f"nonzero signature at nil P{p} on {zname}"
-                        )
+                        raise _Fail(f"nonzero signature at nil P{p} on {zname}")
                     continue
                 pos, neg, _ = _sign_counts(poly, p)
                 if abs(s) > info.n_p or dim * s != pos - neg:
-                    return CriterionResult(
-                        4, False, f"signature {s} missed n_P or the transfer "
-                        f"oracle on {zname} at P{p}",
+                    raise _Fail(
+                        f"signature {s} missed n_P or the transfer "
+                        f"oracle on {zname} at P{p}"
                     )
             checked += 1
-    return CriterionResult(4, True, f"{checked} random units stayed within the bound")
+    return f"{checked} random units stayed within the bound"
 
 
-# -- criterion 5: split cones against a minor-based oracle --------------------
+# -- split cones against a minor-based oracle -----------------------------------
 
 
 def _det_frac(m: list[list[Fraction]]) -> Fraction:
@@ -395,7 +407,8 @@ def _psd_oracle(m: list[list[Fraction]]) -> bool:
     return True
 
 
-def criterion_5(seed: int, scale: float = 1.0) -> CriterionResult:
+@_criterion("split cones match the principal-minor PSD oracle")
+def split_cones(rngs, scale: float) -> str:
     per_n = _count(500, scale)
     singular_target = _count(100, scale)
     field = FieldDesc()
@@ -405,7 +418,7 @@ def criterion_5(seed: int, scale: float = 1.0) -> CriterionResult:
         alg = AlgebraWithInvolution(n, div, MatD.identity(div, n))
         plus = PositiveCone(alg, 0, 1)
         minus = PositiveCone(alg, 0, -1)
-        rng = random.Random(f"{seed}:c5:{n}")
+        rng = rngs(n)
         singular_seen = 0
         for i in range(per_n):
             force_singular = i % 3 == 0
@@ -415,69 +428,55 @@ def criterion_5(seed: int, scale: float = 1.0) -> CriterionResult:
                 singular_seen += 1
             neg_rows = [[-x for x in row] for row in rows]
             if member(m, plus) != _psd_oracle(rows):
-                return CriterionResult(
-                    5, False, f"PSD disagreement at n={n}, sample {i}"
-                )
+                raise _Fail(f"PSD disagreement at n={n}, sample {i}")
             if member(m, minus) != _psd_oracle(neg_rows):
-                return CriterionResult(
-                    5, False, f"NSD disagreement at n={n}, sample {i}"
-                )
+                raise _Fail(f"NSD disagreement at n={n}, sample {i}")
             checked += 1
         if singular_seen < singular_target:
-            return CriterionResult(
-                5, False, f"only {singular_seen} singular samples at n={n}"
-            )
-    return CriterionResult(5, True, f"{checked} matrices matched the oracle")
+            raise _Fail(f"only {singular_seen} singular samples at n={n}")
+    return f"{checked} matrices matched the oracle"
 
 
-# -- criterion 6: positive involutions ----------------------------------------
+# -- positive involutions ---------------------------------------------------------
 
 
-def criterion_6(seed: int, scale: float = 1.0) -> CriterionResult:
+@_criterion("positive involutions exist off nil and never on nil")
+def positive_involutions(rngs, scale: float) -> str:
     per_nil = _count(200, scale)
     built = 0
     refuted = 0
-    for zname, alg in zoo_all().items():
-        rng = random.Random(f"{seed}:c6:{zname}")
-        for p in orderings_of(alg):
+    for zname, alg, rng in _zoo(rngs):
+        for p in orderings(alg.field):
             info = classify(alg, p)
             if not info.nil:
                 b, _tau_alg = positive_involution_at(alg, p)
                 q = trace_form(alg, b)
                 if not q.is_positive_semidefinite_at(p):
-                    return CriterionResult(
-                        6, False, f"trace form not PSD on {zname} at P{p}"
-                    )
+                    raise _Fail(f"trace form not PSD on {zname} at P{p}")
                 if abs(sign_eta(rank_one(alg, b.inverse()), p)) != info.n_p:
-                    return CriterionResult(
-                        6, False, f"witness signature off on {zname} at P{p}"
-                    )
+                    raise _Fail(f"witness signature off on {zname} at P{p}")
                 built += 1
             else:
                 for _ in range(per_nil):
                     b = rand_invertible_symmetric(rng, alg)
                     if is_positive_involution(alg, b, p):
-                        return CriterionResult(
-                            6,
-                            False,
-                            f"positive involution appeared at nil P{p} on {zname}",
+                        raise _Fail(
+                            f"positive involution appeared at nil P{p} on {zname}"
                         )
                     refuted += 1
-    return CriterionResult(
-        6, True, f"{built} constructions verified, {refuted} nil twists refuted"
-    )
+    return f"{built} constructions verified, {refuted} nil twists refuted"
 
 
-# -- criterion 7: scalar decompositions ----------------------------------------
+# -- scalar decompositions ----------------------------------------------------------
 
 
-def criterion_7(seed: int, scale: float = 1.0) -> CriterionResult:
+@_criterion("scalar decomposition, inertia, and normalized signature")
+def scalar_decompositions(rngs, scale: float) -> str:
     per_algebra = _count(100, scale)
     checked = 0
-    for zname, alg in zoo_all().items():
+    for zname, alg, rng in _zoo(rngs):
         if not alg.has_standard_involution:
             continue
-        rng = random.Random(f"{seed}:c7:{zname}")
         heavy = alg.ell >= 2 and (alg.div.dim >= 2 or alg.field.is_quadratic)
         max_rank = 1 if heavy else (2 if alg.ell >= 2 else 3)
         live, dim = x_tilde(alg), alg.div.dim
@@ -491,24 +490,16 @@ def criterion_7(seed: int, scale: float = 1.0) -> CriterionResult:
                 dec = pre_sylvester(h, p)
                 pos, neg, _ = _sign_counts(poly, p)
                 if (dim * dec.r, dim * dec.s) != (alg.ell * pos, alg.ell * neg):
-                    return CriterionResult(
-                        7, False, f"inertia failed on {zname} at P{p}"
-                    )
+                    raise _Fail(f"inertia failed on {zname} at P{p}")
                 if dim * dec.sign_value(1) != pos - neg:
-                    return CriterionResult(
-                        7, False, f"normalized signature mismatch on {zname} at P{p}"
-                    )
+                    raise _Fail(f"normalized signature mismatch on {zname} at P{p}")
                 if dim * dec.sign_value(-1) != neg - pos:
-                    return CriterionResult(
-                        7, False, f"mirror signature mismatch on {zname}"
-                    )
+                    raise _Fail(f"mirror signature mismatch on {zname}")
             checked += 1
-    return CriterionResult(
-        7, True, f"{checked} nonsingular forms decomposed and validated"
-    )
+    return f"{checked} nonsingular forms decomposed and validated"
 
 
-# -- criterion 8: generated cones ----------------------------------------------
+# -- generated cones ----------------------------------------------------------------
 
 
 def _closure_sample(
@@ -529,22 +520,22 @@ def _closure_sample(
     return pool[:budget]
 
 
-def criterion_8(seed: int, scale: float = 1.0) -> CriterionResult:
+@_criterion("sampled cone closures stay inside and stay proper")
+def generated_cones(rngs, scale: float) -> str:
     budget = _count(300, scale)
     per_algebra = _count(30, scale)
     closure = decided = refuted = 0
-    for zname, alg in zoo_all().items():
-        rng = random.Random(f"{seed}:c8:{zname}")
+    for zname, alg, rng in _zoo(rngs):
         for cone in enumerate_cones(alg):
             _, witness = m_p(alg, cone.ordering)
             gen = witness if cone.eps == 1 else -witness
             ans = generated_cone(alg, [gen], cone.ordering)
             if ans != GeneratedCone(True, cone.eps):
                 detail = f"{cone} generator: proper {ans.proper}, eps {ans.eps}"
-                return CriterionResult(8, False, f"{detail} on {zname}")
+                raise _Fail(f"{detail} on {zname}")
             sample = _closure_sample(rng, alg, [gen], cone.ordering, budget)
             if not all(member(u, cone) for u in sample):
-                return CriterionResult(8, False, f"closure escaped the cone on {zname}")
+                raise _Fail(f"closure escaped the cone on {zname}")
             closure += len(sample)
         # random S against the oracle: S lies in the cone (P, +1) iff no
         # transfer has a negative eigenvalue at P, and in (P, -1) iff none
@@ -555,36 +546,34 @@ def criterion_8(seed: int, scale: float = 1.0) -> CriterionResult:
             drawn += 1
             gens = [rand_symmetric(rng, alg) for _ in range(1 + rng.randrange(2))]
             polys = [_charpoly(_transfer_gram(alg.phi_inv * s), alg.field) for s in gens]
-            for p in orderings_of(alg):
+            for p in orderings(alg.field):
                 counts = [_sign_counts(c, p) for c in polys]
                 no_neg, no_pos = (all(c[k] == 0 for c in counts) for k in (1, 0))
                 ans = generated_cone(alg, gens, p)
                 if (ans.proper, ans.eps) != (no_neg or no_pos, no_neg - no_pos):
-                    return CriterionResult(
-                        8, False, f"decision disagreed with the oracle on {zname} "
-                        f"at P{p}: proper {ans.proper}, eps {ans.eps}",
+                    raise _Fail(
+                        f"decision disagreed with the oracle on {zname} "
+                        f"at P{p}: proper {ans.proper}, eps {ans.eps}"
                     )
                 decided += 1
                 refuted_here += not ans.proper and p in live
         if not refuted_here:
-            return CriterionResult(
-                8, False, f"no improper set refuted at a non-nil ordering on {zname}"
-            )
+            raise _Fail(f"no improper set refuted at a non-nil ordering on {zname}")
         refuted += refuted_here
-    return CriterionResult(
-        8, True, f"{closure} closure elements stayed inside; {decided} decisions "
-        f"matched the transfer charpoly oracle, {refuted} refuted off nil",
+    return (
+        f"{closure} closure elements stayed inside; {decided} decisions "
+        f"matched the transfer charpoly oracle, {refuted} refuted off nil"
     )
 
 
-# -- criterion 9: cone characterization of maximality ---------------------------
+# -- cone characterization of maximality ------------------------------------------
 
 
-def criterion_9(seed: int, scale: float = 1.0) -> CriterionResult:
+@_criterion("maximality matches cone membership on all ordering subsets")
+def maximality(rngs, scale: float) -> str:
     per_algebra = _count(100, scale)
     checked = maximal = not_maximal = 0
-    for zname, alg in zoo_all().items():
-        rng = random.Random(f"{seed}:c9:{zname}")
+    for zname, alg, rng in _zoo(rngs):
         live = x_tilde(alg)
         subsets = [
             tuple(p for i, p in enumerate(live) if mask & (1 << i))
@@ -603,28 +592,27 @@ def criterion_9(seed: int, scale: float = 1.0) -> CriterionResult:
             for ys in subsets:
                 oracle = all(_sign_counts(poly, p)[1] == 0 for p in ys)
                 if is_maximal_on(alg, u, ys) != oracle:
-                    return CriterionResult(
-                        9, False, f"criteria disagreed on {zname} for subset {ys}"
-                    )
+                    raise _Fail(f"criteria disagreed on {zname} for subset {ys}")
                 checked += 1
                 if ys:
                     maximal += oracle
                     not_maximal += not oracle
-    return CriterionResult(
-        9, True, f"{checked} comparisons agreed with the transfer charpoly oracle; "
-        f"on non-empty subsets {maximal} maximal, {not_maximal} not",
+    return (
+        f"{checked} comparisons agreed with the transfer charpoly oracle; "
+        f"on non-empty subsets {maximal} maximal, {not_maximal} not"
     )
 
 
-# -- criterion 10: three-way equivalence at the identity -------------------------
+# -- three-way equivalence at the identity -----------------------------------------
 
 
-def criterion_10(seed: int, scale: float = 1.0) -> CriterionResult:
+@_criterion("identity positivity: cones, signature, trace form agree")
+def identity_positivity(rngs, scale: float) -> str:
     checked = 0
     for zname, alg in zoo_all().items():
         one = alg.identity()
         cones = enumerate_cones(alg)
-        for p in orderings_of(alg):
+        for p in orderings(alg.field):
             info = classify(alg, p)
             in_some_cone = any(
                 member(one, k) for k in cones if k.ordering == p
@@ -632,26 +620,12 @@ def criterion_10(seed: int, scale: float = 1.0) -> CriterionResult:
             by_sign = abs(sign_eta(rank_one(alg, one), p)) == info.n_p
             by_trace = is_positive_involution(alg, one, p)
             if not (in_some_cone == by_sign == by_trace):
-                return CriterionResult(
-                    10, False, f"criteria split on {zname} at P{p}: "
-                    f"cone={in_some_cone} sign={by_sign} trace={by_trace}",
+                raise _Fail(
+                    f"criteria split on {zname} at P{p}: "
+                    f"cone={in_some_cone} sign={by_sign} trace={by_trace}"
                 )
             checked += 1
-    return CriterionResult(10, True, f"{checked} orderings agreed three ways")
-
-
-CRITERIA: tuple[Callable[[int, float], CriterionResult], ...] = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-)
+    return f"{checked} orderings agreed three ways"
 
 
 def run_all(seed: int = 0, scale: float = 1.0) -> list[tuple[CriterionResult, float]]:

@@ -354,12 +354,6 @@ class MatD:
         )
 
     @classmethod
-    def scalar(cls, alg: DivisionAlgebraDesc, c, n: int) -> "MatD":
-        """c * identity of size n, with c a field element or DElem."""
-        e = c if isinstance(c, DElem) else alg.from_field(c)
-        return cls.diagonal(alg, [e] * n)
-
-    @classmethod
     def block_diag(cls, blocks: Sequence["MatD"]) -> "MatD":
         if not blocks:
             raise ValueError("need at least one block")
@@ -581,9 +575,6 @@ class AlgebraWithInvolution:
 
     def identity(self) -> MatD:
         return MatD.identity(self.div, self.ell)
-
-    def zero(self) -> MatD:
-        return MatD.zeros(self.div, self.ell, self.ell)
 
     def sigma(self, x: MatD) -> MatD:
         if x.rows != self.ell or x.cols != self.ell:

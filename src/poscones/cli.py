@@ -20,7 +20,6 @@ import sys
 from functools import cache
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .acceptance import run_all
 from .algebra import AlgebraWithInvolution
 from .cones import (
     PositiveCone,
@@ -31,9 +30,10 @@ from .cones import (
     positive_involution_at,
 )
 from .errors import ParseError, PosconesError, TaskError
+from .field import orderings
 from .forms import weakly_represents
 from .morita import full_reduction
-from .orders import classify_all, orderings_of, x_tilde
+from .orders import classify_all, x_tilde
 from .serde import (
     algebra_from_json,
     algebra_to_json,
@@ -147,7 +147,7 @@ def _classify(alg, t):
 
 @_command("sign", "signature of a form at orderings (default: all)", "form ordering")
 def _sign(alg, t):
-    ps = [parse_ordering(t["ordering"])] if "ordering" in t else orderings_of(alg)
+    ps = [parse_ordering(t["ordering"])] if "ordering" in t else orderings(alg.field)
     table = {ordering_name(p): sign_eta(t["form"], p) for p in ps}
     return True, table, [f"{k}  {v}" for k, v in sorted(table.items())]
 
@@ -403,6 +403,8 @@ def _cmd_selftest(args):
         raise ParseError(
             f"--scale must be positive and at most {MAX_SCALE:g}, got {args.scale:g}"
         )
+    from .acceptance import run_all  # loaded for selftest alone
+
     results = run_all(args.seed, args.scale)
     records = [
         {

@@ -38,7 +38,6 @@ __all__ = [
     "DiagonalizationResult",
     "diagonalize",
     "diag_form",
-    "unit_form",
     "direct_sum",
     "times",
     "tensor",
@@ -427,11 +426,6 @@ def rank_one(alg: AlgebraWithInvolution, a: MatD) -> HermitianForm:
     and weak-representation question on a reads the one diagonal of <a>.
     A refused a (NotSymmetric) is not cached, so it is refused every time."""
     return diag_form(alg, [a])
-
-
-def unit_form(alg: AlgebraWithInvolution) -> HermitianForm:
-    """<1>, the rank-one form with Gram the identity of A."""
-    return rank_one(alg, alg.identity())
 
 
 def direct_sum(h1: HermitianForm, h2: HermitianForm) -> HermitianForm:

@@ -31,7 +31,6 @@ __all__ = [
     "OrderingInfo",
     "classify",
     "classify_all",
-    "orderings_of",
     "x_tilde",
 ]
 
@@ -46,13 +45,9 @@ class OrderingInfo:
     nil: bool
 
 
-def orderings_of(alg: AlgebraWithInvolution) -> tuple[int, ...]:
-    return orderings(alg.field)
-
-
 def classify(alg: AlgebraWithInvolution, p: int) -> OrderingInfo:
     """Classify the completion of the algebra at ordering p."""
-    if p not in orderings_of(alg):
+    if p not in orderings(alg.field):
         raise ValueError(f"ordering {p!r} is not valid for {alg.field}")
     div = alg.div
     ell = alg.ell
@@ -70,9 +65,9 @@ def classify(alg: AlgebraWithInvolution, p: int) -> OrderingInfo:
 
 
 def classify_all(alg: AlgebraWithInvolution) -> tuple[OrderingInfo, ...]:
-    return tuple(classify(alg, p) for p in orderings_of(alg))
+    return tuple(classify(alg, p) for p in orderings(alg.field))
 
 
 def x_tilde(alg: AlgebraWithInvolution) -> tuple[int, ...]:
     """The orderings at which signatures do not identically vanish."""
-    return tuple(p for p in orderings_of(alg) if not classify(alg, p).nil)
+    return tuple(p for p in orderings(alg.field) if not classify(alg, p).nil)

@@ -18,10 +18,10 @@ import poscones.orders
 import poscones.signature
 from poscones.acceptance import (
     CRITERIA,
-    criterion_2,
-    criterion_4,
-    criterion_7,
-    criterion_9,
+    maximality,
+    membership_coherence,
+    rank_one_signatures,
+    scalar_decompositions,
     run_all,
 )
 from poscones.algebra import DivisionAlgebraDesc, MatD
@@ -203,7 +203,7 @@ def test_every_criterion_fails_under_some_fault():
 
 def test_negated_diagonals_fail_criteria_4_and_7(monkeypatch):
     _negate_entries(monkeypatch)
-    for criterion, detail in ((criterion_4, "transfer oracle"), (criterion_7, "inertia")):
+    for criterion, detail in ((rank_one_signatures, "transfer oracle"), (scalar_decompositions, "inertia")):
         result = criterion(SEED, MUTATION_SCALE)
         assert not result.passed and detail in result.detail
 
@@ -212,12 +212,12 @@ def test_in_cone_at_ignoring_eps_fails_criterion_2_matrix_coherence(monkeypatch)
     # the reference verdict comes from the transfer oracle, not from member
     # on the entries of a diagonalization, which would share the fault
     _ignore_eps(monkeypatch)
-    result = criterion_2(SEED, MUTATION_SCALE)
+    result = membership_coherence(SEED, MUTATION_SCALE)
     assert not result.passed and "matrix coherence" in result.detail
 
 
 def test_criterion_9_sees_maximal_elements_at_small_scale():
-    result = criterion_9(SEED, 0.01)
+    result = maximality(SEED, 0.01)
     assert result.passed
     maximal = re.search(r"(\d+) maximal, (\d+) not", result.detail)
     assert int(maximal.group(1)) > 0 and int(maximal.group(2)) > 0

@@ -133,7 +133,7 @@ class TestMatD:
         assert z.is_zero() and not z.is_square()
         d = MatD.diagonal(SPLIT, [SPLIT.from_field(2), SPLIT.from_field(3)])
         assert d[1, 1] == SPLIT.from_field(3)
-        assert MatD.scalar(SPLIT, 2, 2) == d - MatD.diagonal(
+        assert MatD.identity(SPLIT, 2).scale_field(2) == d - MatD.diagonal(
             SPLIT, [SPLIT.zero(), SPLIT.from_field(1)]
         )
 

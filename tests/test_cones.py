@@ -90,8 +90,8 @@ class TestMembership:
         alg = zoo_algebra("quad-rt2-1")
         plus = PositiveCone(alg, 0, 1)
         s = alg.div.base.sqrt_gen()  # sqrt(2), positive at P0
-        assert member(MatD.scalar(alg.div, s, 1), plus)
-        assert not member(MatD.scalar(alg.div, -s, 1), plus)
+        assert member(MatD.identity(alg.div, 1).scale_field(s), plus)
+        assert not member(MatD.identity(alg.div, 1).scale_field(-s), plus)
 
 
 class TestTransfer:
@@ -99,7 +99,7 @@ class TestTransfer:
         div = zoo_algebra("split-q-2").div
         k = PositiveCone(standard_algebra(1, div), 0, 1)
         up = PositiveCone(standard_algebra(2, div), 0, 1)
-        d = MatD.scalar(div, 3, 1)
+        d = MatD.identity(div, 1).scale_field(3)
         assert member(d, k)
         assert member(MatD.diagonal(div, [d[0, 0], div.zero()]), up)
 
@@ -157,7 +157,8 @@ class TestGeneratedCone:
         alg = zoo_algebra("quad-rt2-2")
         for p in (0, 1):
             assert generated_cone(alg, [], p) == GeneratedCone(True, 0)
-            assert generated_cone(alg, [alg.zero()], p) == GeneratedCone(True, 0)
+            zero = MatD.zeros(alg.div, alg.ell, alg.ell)
+            assert generated_cone(alg, [zero], p) == GeneratedCone(True, 0)
 
     def test_agrees_with_membership(self):
         alg = zoo_algebra("split-q-2-indef")

@@ -26,7 +26,6 @@ from poscones import (
     sign_eta,
     tensor,
     times,
-    unit_form,
     weakly_represents,
     zoo_algebra,
     zoo_names,
@@ -496,7 +495,7 @@ class TestHermitianForm:
     def test_unit_form_evaluates_to_identity(self):
         for name in ("split-q-2", "split-q-2-indef", "quat-q-1"):
             alg = zoo_algebra(name)
-            h = unit_form(alg)
+            h = rank_one(alg, alg.identity())
             x = alg.identity()
             assert h.evaluate(x, x) == alg.identity()
 
@@ -528,7 +527,7 @@ class TestConstructors:
     def test_tensor_scales_by_field_entries(self):
         alg = zoo_algebra("split-q-2")
         q = QuadraticFormF((Q.elem(1), Q.elem(-1)))
-        h = unit_form(alg)
+        h = rank_one(alg, alg.identity())
         t = tensor(q, h)
         assert t.rank == 2
         assert sign_eta(t, 0) == 0
@@ -538,32 +537,32 @@ class TestConstructors:
 class TestWeakRepresentation:
     def test_square_is_represented_once(self):
         alg = zoo_algebra("split-q-1")
-        h = unit_form(alg)
+        h = rank_one(alg, alg.identity())
         res = weakly_represents(h, qmat([[4]]))
         assert res.status == "yes" and res.copies == 1
         assert times(res.copies, h).evaluate(res.witness, res.witness) == qmat([[4]])
 
     def test_sum_of_two_squares(self):
         alg = zoo_algebra("split-q-1")
-        h = unit_form(alg)
+        h = rank_one(alg, alg.identity())
         res = weakly_represents(h, qmat([[2]]))
         assert res.status == "yes" and res.copies == 2
         assert times(res.copies, h).evaluate(res.witness, res.witness) == qmat([[2]])
 
     def test_zero_target(self):
         alg = zoo_algebra("split-q-1")
-        res = weakly_represents(unit_form(alg), qmat([[0]]))
+        res = weakly_represents(rank_one(alg, alg.identity()), qmat([[0]]))
         assert res.status == "yes" and res.copies == 1
         assert res.witness.is_zero()
 
     def test_negative_target_stays_unknown(self):
         alg = zoo_algebra("split-q-1")
-        res = weakly_represents(unit_form(alg), qmat([[-1]]))
+        res = weakly_represents(rank_one(alg, alg.identity()), qmat([[-1]]))
         assert res.status == "unknown"
 
     def test_matrix_target(self):
         alg = zoo_algebra("split-q-2")
-        h = unit_form(alg)
+        h = rank_one(alg, alg.identity())
         u = qmat([[4, 0], [0, 1]])
         res = weakly_represents(h, u)
         assert res.status == "yes"
@@ -572,14 +571,14 @@ class TestWeakRepresentation:
     def test_rejects_non_symmetric_target(self):
         alg = zoo_algebra("split-q-2")
         with pytest.raises(NotSymmetric):
-            weakly_represents(unit_form(alg), qmat([[0, 1], [0, 0]]))
+            weakly_represents(rank_one(alg, alg.identity()), qmat([[0, 1], [0, 0]]))
 
     def test_two_generators_over_rt2(self):
         # 3 + sqrt(2) = 3 * 1 + 1 * sqrt(2) over the norm form <1, sqrt(2)>,
         # and 3 is a sum of three rational squares, not of two
         alg = zoo_algebra("quad-rt2-1")
-        h = unit_form(alg)
-        u = MatD.scalar(alg.div, alg.field.elem(3, 1), 1)
+        h = rank_one(alg, alg.identity())
+        u = MatD.identity(alg.div, 1).scale_field(alg.field.elem(3, 1))
         res = weakly_represents(h, u)
         assert res.status == "yes" and res.copies == 3
         assert times(res.copies, h).evaluate(res.witness, res.witness) == u
@@ -588,11 +587,11 @@ class TestWeakRepresentation:
         # 2 + sqrt(2) = 1 + (1 + sqrt(2)) over the norm form
         # <1, 1, 1 + sqrt(2), 1 + sqrt(2)>: two coordinates of one quaternion
         alg = zoo_algebra("quat-rt2-1")
-        h = unit_form(alg)
+        h = rank_one(alg, alg.identity())
         e = alg.field.elem(2, 1)
         for b in alg.div.basis():
             assert not (e / (b.theta() * b).scalar()).is_rational()
-        u = MatD.scalar(alg.div, e, 1)
+        u = MatD.identity(alg.div, 1).scale_field(e)
         res = weakly_represents(h, u)
         assert res.status == "yes" and res.copies == 1
         assert times(res.copies, h).evaluate(res.witness, res.witness) == u
@@ -605,15 +604,15 @@ class TestWeakRepresentation:
         # coordinates with equal norm-form coefficients take one square each
         # in the same copy: 3 is the value of x = 1 + i + j over <1, 1, 1, 1>
         alg = zoo_algebra(name)
-        h = unit_form(alg)
-        u = MatD.scalar(alg.div, alg.field.elem(value), alg.ell)
+        h = rank_one(alg, alg.identity())
+        u = MatD.identity(alg.div, alg.ell).scale_field(alg.field.elem(value))
         res = weakly_represents(h, u)
         assert res.status == "yes" and res.copies == 1
         assert h.evaluate(res.witness, res.witness) == u
 
     def test_sixty_digit_entry_is_fast(self):
         alg = zoo_algebra("split-q-1")
-        h = unit_form(alg)
+        h = rank_one(alg, alg.identity())
         u = qmat([[Fraction(10**59 + 7, 3)]])
         start = time.perf_counter()
         res = weakly_represents(h, u)
@@ -624,7 +623,8 @@ class TestWeakRepresentation:
     def test_reads_the_target_inverse(self, monkeypatch):
         # the target's diagonalization carries its inverse: no Gauss-Jordan
         alg = zoo_algebra("quat-q-1")
-        h, u = unit_form(alg), MatD.scalar(alg.div, alg.field.elem(3), 1)
+        h = rank_one(alg, alg.identity())
+        u = MatD.identity(alg.div, 1).scale_field(alg.field.elem(3))
         calls = []
         inverse = MatD.inverse
         monkeypatch.setattr(MatD, "inverse", lambda m: calls.append(m) or inverse(m))

@@ -11,7 +11,6 @@ from poscones import (
     rank_one,
     sign_eta,
     standard_algebra,
-    unit_form,
     zoo_algebra,
 )
 
@@ -41,7 +40,7 @@ class TestScaleInvolution:
     def test_unit_form_becomes_phi_inverse_gram(self):
         alg = zoo_algebra("split-q-2-indef")  # phi = diag(1, -1)
         # gram becomes phi^-1 * identity = diag(1, -1)
-        assert unit_form(alg).reduced == alg.phi
+        assert rank_one(alg, alg.identity()).reduced == alg.phi
 
     def test_no_op_on_standard_involution(self):
         alg = zoo_algebra("split-q-2")
@@ -68,7 +67,7 @@ class TestFullReduction:
 
     def test_twisted_unit_form(self):
         alg = zoo_algebra("split-q-2-indef")
-        red = full_reduction(unit_form(alg))
+        red = full_reduction(rank_one(alg, alg.identity()))
         # <1> over ad(diag(1,-1)) carries the twist into the gram
         assert red.gram == qmat([[1, 0], [0, -1]])
 

@@ -6,7 +6,7 @@ from poscones import (
     OrderingInfo,
     classify,
     classify_all,
-    orderings_of,
+    orderings,
     x_tilde,
     zoo_algebra,
     zoo_names,
@@ -54,5 +54,5 @@ class TestClassification:
             classify(zoo_algebra("split-q-1"), 1)
 
     def test_orderings_follow_the_field(self):
-        assert orderings_of(zoo_algebra("split-q-2")) == (0,)
-        assert orderings_of(zoo_algebra("quad-rt2-1")) == (0, 1)
+        assert orderings(zoo_algebra("split-q-2").field) == (0,)
+        assert orderings(zoo_algebra("quad-rt2-1").field) == (0, 1)

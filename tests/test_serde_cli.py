@@ -1,6 +1,7 @@
 """JSON serialization round trips and the command-line interface."""
 
 import argparse
+import ast
 import json
 import re
 import shutil
@@ -595,7 +596,8 @@ class TestSelftest:
             raise InternalInvariantViolation("broken on purpose")
 
         monkeypatch.setattr(
-            poscones.acceptance, "CRITERIA", (broken, poscones.acceptance.criterion_10)
+            poscones.acceptance, "CRITERIA",
+            (broken, poscones.acceptance.identity_positivity),
         )
         assert main(["selftest"]) == 1
         first, second = capsys.readouterr().out.splitlines()[1:]
@@ -604,7 +606,7 @@ class TestSelftest:
             r"broken on purpose \(in broken, line \d+\)",
             first,
         )
-        detail = poscones.acceptance.criterion_10(0, 1.0).detail
+        detail = poscones.acceptance.identity_positivity(0, 1.0).detail
         assert second.startswith("criterion 10  PASS  ") and second.endswith(
             f"s)  {detail}"
         )
@@ -616,7 +618,8 @@ class TestSelftest:
             raise InternalInvariantViolation("broken on purpose")
 
         monkeypatch.setattr(
-            poscones.acceptance, "CRITERIA", (broken, poscones.acceptance.criterion_10)
+            poscones.acceptance, "CRITERIA",
+            (broken, poscones.acceptance.identity_positivity),
         )
         assert main(["selftest", "--json"]) == 1
         first, second = json.loads(capsys.readouterr().out)["criteria"]
@@ -636,6 +639,18 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert len(proc.stdout.strip().splitlines()) == len(zoo_names())
+
+    def test_import_leaves_the_acceptance_suite_unloaded(self):
+        # selftest imports the acceptance suite, and with it the samplers,
+        # when it runs; no other command pays for them
+        code = "import sys, poscones.cli; print(sorted(sys.modules))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0
+        loaded = set(ast.literal_eval(proc.stdout))
+        assert "poscones.cli" in loaded
+        assert loaded.isdisjoint({"poscones.acceptance", "poscones.sampling"})
 
     def test_console_script(self):
         # Run the installed script when there is one; otherwise start the

@@ -15,7 +15,7 @@ from poscones import (
     is_maximal_on,
     member,
     positive_involution_at,
-    orderings_of,
+    orderings,
     MatD,
     NilOrdering,
     QuadraticFormF,
@@ -28,7 +28,6 @@ from poscones import (
     sign_eta,
     tensor,
     trace_form,
-    unit_form,
     x_tilde,
     zoo_algebra,
     zoo_names,
@@ -51,7 +50,7 @@ class TestSignEta:
         for name in zoo_names():
             alg = zoo_algebra(name)
             h = rank_one(alg, alg.phi)
-            for p in orderings_of(alg):
+            for p in orderings(alg.field):
                 info = classify(alg, p)
                 expected = 0 if info.nil else info.n_p
                 assert sign_eta(h, p) == expected, name
@@ -63,20 +62,20 @@ class TestSignEta:
 
     def test_additive_under_direct_sum(self):
         alg = zoo_algebra("quat-q-1")
-        a = rank_one(alg, MatD.scalar(alg.div, 2, 1))
-        b = rank_one(alg, MatD.scalar(alg.div, -3, 1))
+        a = rank_one(alg, MatD.identity(alg.div, 1).scale_field(2))
+        b = rank_one(alg, MatD.identity(alg.div, 1).scale_field(-3))
         assert sign_eta(direct_sum(a, b), 0) == sign_eta(a, 0) + sign_eta(b, 0)
 
     def test_negative_tensor_flips_the_sign(self):
         alg = zoo_algebra("split-q-2")
-        h = unit_form(alg)
+        h = rank_one(alg, alg.identity())
         flipped = tensor(QuadraticFormF((alg.field.elem(-1),)), h)
         assert sign_eta(flipped, 0) == -sign_eta(h, 0)
 
     def test_twisted_unit_form_indefinite(self):
         alg = zoo_algebra("split-q-2-indef")
         assert sign_eta(rank_one(alg, alg.phi), 0) == 2
-        assert sign_eta(unit_form(alg), 0) == 0
+        assert sign_eta(rank_one(alg, alg.identity()), 0) == 0
 
 
 class TestMaximalWitness:
@@ -112,10 +111,10 @@ class TestMaximalWitness:
 class TestPreSylvester:
     def test_positive_definite_unit_form(self):
         alg = zoo_algebra("split-q-2")
-        dec = pre_sylvester(unit_form(alg), 0)
+        dec = pre_sylvester(rank_one(alg, alg.identity()), 0)
         assert (dec.r, dec.s) == (4, 0)
         assert dec.n_p == 2 and dec.t == 1
-        assert dec.sign_value(1) == 2 == sign_eta(unit_form(alg), 0)
+        assert dec.sign_value(1) == 2 == sign_eta(rank_one(alg, alg.identity()), 0)
         assert dec.sign_value(-1) == -2
 
     def test_balanced_form(self):
@@ -127,7 +126,7 @@ class TestPreSylvester:
 
     def test_quaternion_unit(self):
         alg = zoo_algebra("quat-q-1")
-        dec = pre_sylvester(unit_form(alg), 0)
+        dec = pre_sylvester(rank_one(alg, alg.identity()), 0)
         assert (dec.r, dec.s) == (1, 0)
         assert dec.sign_value(1) == 1
 
@@ -143,14 +142,15 @@ class TestPreSylvester:
     def test_requires_standard_involution(self):
         alg = zoo_algebra("split-q-2-indef")
         with pytest.raises(ValueError):
-            pre_sylvester(unit_form(alg), 0)
+            pre_sylvester(rank_one(alg, alg.identity()), 0)
 
     def test_rejects_singular_and_nil(self):
         alg = zoo_algebra("split-q-2")
         with pytest.raises(Singular):
             pre_sylvester(rank_one(alg, MatD.zeros(SPLIT, 2, 2)), 0)
+        alg = zoo_algebra("quat-rt2-1")
         with pytest.raises(NilOrdering):
-            pre_sylvester(unit_form(zoo_algebra("quat-rt2-1")), 1)
+            pre_sylvester(rank_one(alg, alg.identity()), 1)
 
 
 class TestSignCone:
@@ -243,7 +243,7 @@ class TestTraceFormOracle:
             closed = trace_form(alg, b)
             oracle = gram_trace_form(alg, b)
             assert closed.dim == oracle.dim == alg.ell**2 * alg.div.dim
-            for p in orderings_of(alg):
+            for p in orderings(alg.field):
                 assert _signs(closed, p) == _signs(oracle, p), (name, b, p)
 
     @pytest.mark.parametrize("name", zoo_names())
@@ -295,7 +295,7 @@ class TestPositiveInvolutionOracle:
             rng = random.Random(f"posinv-oracle:{name}")
             for _ in range(4):
                 b = rand_invertible_symmetric(rng, alg)
-                for p in orderings_of(alg):
+                for p in orderings(alg.field):
                     info = classify(alg, p)
                     oracle = not info.nil and abs(
                         sign_eta(rank_one(alg, b.inverse()), p)

@@ -3,7 +3,9 @@
 No module of the package (other than __init__.py, which re-exports) and
 no test module imports a name it never reads, and no function of the
 package assigns a local it never reads; names starting with "_" are
-exempt from the second check.
+exempt from the second check.  Every name that a module of the package
+exports in __all__ is read by the package or the benchmark, not by the
+tests alone.
 """
 
 import ast
@@ -13,6 +15,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "poscones"
+BENCH = TESTS.parent / "bench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 IMPORTERS = MODULES + sorted(TESTS.glob("*.py"))
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
@@ -75,4 +78,33 @@ def test_every_assigned_local_is_read(path):
             for name, line in _stored(fn).items():
                 if not name.startswith("_") and name not in loaded | declared:
                     unread.append(f"{path.name}:{line} {fn.name}.{name}")
+    assert unread == []
+
+
+def _exports(path):
+    for node in _tree(path).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _read_anywhere():
+    """Names read as a name or an attribute in the package (but for
+    __init__.py) or in the benchmark; an __all__ list holds strings, and a
+    definition or an import binds, so neither counts as a read."""
+    out = set()
+    for path in MODULES + sorted(BENCH.glob("*.py")):
+        for n in ast.walk(_tree(path)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                out.add(n.attr)
+    return out
+
+
+def test_every_exported_name_is_read_outside_the_tests():
+    read = _read_anywhere()
+    unread = [f"{p.name} {n}" for p in MODULES for n in _exports(p) if n not in read]
     assert unread == []
