@@ -119,10 +119,7 @@ def _count(base: int, scale: float) -> int:
 
 
 def _random_form(
-    rng: random.Random,
-    alg: AlgebraWithInvolution,
-    rank: int,
-    nonsingular: bool = False,
+    rng: random.Random, alg: AlgebraWithInvolution, rank: int, nonsingular: bool = False
 ) -> HermitianForm:
     gram = rand_hermitian_form_gram(rng, alg, rank, nonsingular=nonsingular)
     return HermitianForm(alg, rank, gram, _checked=True)
@@ -253,8 +250,7 @@ def membership_coherence(rngs, scale: float) -> str:
     per_algebra = _count(200, scale)
     checked = 0
     for zname, alg, rng in _zoo(rngs):
-        div = alg.div
-        ell = alg.ell
+        div, ell = alg.div, alg.ell
         base = standard_algebra(1, div)
         up_alg = standard_algebra(ell, div)
         for kd in enumerate_cones(base):
@@ -263,13 +259,9 @@ def membership_coherence(rngs, scale: float) -> str:
             for i in range(per_algebra):
                 # scalar coherence: d in K_D iff diag(d, 0, ..., 0) in the
                 # lifted cone
-                d = rand_fieldelem(rng, div.base)
-                d_el = div.from_field(d)
-                down_u = MatD(div, [[d_el]])
-                lifted = [[div.zero()] * ell for _ in range(ell)]
-                lifted[0][0] = d_el
-                up_u = MatD(div, lifted)
-                if member(down_u, kd) != member(up_u, ku):
+                d = div.from_field(rand_fieldelem(rng, div.base))
+                up_u = MatD.diagonal(div, [d] + [div.zero()] * (ell - 1))
+                if member(MatD(div, [[d]]), kd) != member(up_u, ku):
                     raise _Fail(f"scalar coherence failed on {zname}")
                 # matrix coherence: membership above equals the transfer
                 # oracle's verdict (phi = 1, so b is its own reduction): no
@@ -279,20 +271,11 @@ def membership_coherence(rngs, scale: float) -> str:
                 if member(b, ku) != (counts[(1 + kd.eps) // 2] == 0):
                     raise _Fail(f"matrix coherence failed on {zname}")
                 # value coherence: pairings of a cone member land below
-                lam = [
-                    rand_positive_at(rng, div.base, p)
-                    if rng.random() < 0.8
-                    else div.base.zero()
-                    for _ in range(ell)
-                ]
+                lam = [rand_positive_at(rng, div.base, p) if rng.random() < 0.8
+                       else div.base.zero() for _ in range(ell)]
                 r = rand_matd(rng, div, ell, ell)
-                inside = (
-                    r.theta_t()
-                    * MatD.diagonal(
-                        div, [div.from_field(v * kd.eps) for v in lam]
-                    )
-                    * r
-                )
+                lam_u = MatD.diagonal(div, [div.from_field(v * kd.eps) for v in lam])
+                inside = r.theta_t() * lam_u * r
                 if not member(inside, ku):
                     raise _Fail(f"constructed member escaped on {zname}")
                 x = rand_matd(rng, div, ell, 1)
@@ -311,26 +294,34 @@ def signature_laws(rngs, scale: float) -> str:
     per_algebra = _count(20, scale)
     checked = 0
     for zname, alg, rng in _zoo(rngs):
+        live, dim = x_tilde(alg), alg.div.dim
         for _ in range(per_algebra):
             h1 = _random_form(rng, alg, 1 + rng.randrange(2))
             h2 = _random_form(rng, alg, 1 + rng.randrange(2))
             a = rand_invertible_symmetric(rng, alg)
-            q = QuadraticFormF(
-                tuple(
-                    rand_fieldelem(rng, alg.field)
-                    for _ in range(1 + rng.randrange(2))
-                )
-            )
+            n_q = 1 + rng.randrange(2)
+            q = QuadraticFormF([rand_fieldelem(rng, alg.field) for _ in range(n_q)])
             hyp = diag_form(alg, [a, -a])
+            polys = []
+            for h in (h1, h2):
+                # its reduction: phi^-1 applied to each ell-row block of the Gram
+                red = MatD.block_diag([alg.phi_inv] * h.rank) * h.gram
+                polys.append(_charpoly(_transfer_gram(red), alg.field))
             for p in orderings(alg.field):
                 if sign_eta(hyp, p) != 0:
                     raise _Fail(f"hyperbolic form had nonzero sign on {zname}")
-                if sign_eta(direct_sum(h1, h2), p) != sign_eta(h1, p) + sign_eta(
-                    h2, p
-                ):
+                s1, s2 = sign_eta(h1, p), sign_eta(h2, p)
+                if sign_eta(direct_sum(h1, h2), p) != s1 + s2:
                     raise _Fail(f"additivity failed on {zname}")
-                if sign_eta(tensor(q, h1), p) != q.sign_at(p) * sign_eta(h1, p):
+                if sign_eta(tensor(q, h1), p) != q.sign_at(p) * s1:
                     raise _Fail(f"multiplicativity failed on {zname}")
+                for s, poly in zip((s1, s2), polys if p in live else ()):
+                    pos, neg, _ = _sign_counts(poly, p)
+                    if dim * s != pos - neg:
+                        raise _Fail(
+                            f"signature {s} missed the transfer oracle "
+                            f"on {zname} at P{p}"
+                        )
             checked += 1
     return f"{checked} instances obeyed all laws"
 
@@ -384,13 +375,10 @@ def _det_frac(m: list[list[Fraction]]) -> Fraction:
         return Fraction(1)
     if n == 1:
         return m[0][0]
-    total = Fraction(0)
-    sign = 1
+    total, sign = Fraction(0), 1
     for j in range(n):
         if m[0][j] != 0:
-            minor = [
-                [m[i][k] for k in range(n) if k != j] for i in range(1, n)
-            ]
+            minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
             total += sign * m[0][j] * _det_frac(minor)
         sign = -sign
     return total
@@ -411,25 +399,20 @@ def _psd_oracle(m: list[list[Fraction]]) -> bool:
 def split_cones(rngs, scale: float) -> str:
     per_n = _count(500, scale)
     singular_target = _count(100, scale)
-    field = FieldDesc()
-    div = DivisionAlgebraDesc(field, "split")
+    div = DivisionAlgebraDesc(FieldDesc(), "split")
     checked = 0
     for n in (1, 2, 3):
         alg = AlgebraWithInvolution(n, div, MatD.identity(div, n))
         plus = PositiveCone(alg, 0, 1)
         minus = PositiveCone(alg, 0, -1)
-        rng = rngs(n)
-        singular_seen = 0
+        rng, singular_seen = rngs(n), 0
         for i in range(per_n):
-            force_singular = i % 3 == 0
-            m = rand_hermitian(rng, div, n, singular=force_singular)
+            m = rand_hermitian(rng, div, n, singular=(i % 3 == 0))
             rows = [[e.scalar().a for e in row] for row in m.entries]
-            if _det_frac(rows) == 0:
-                singular_seen += 1
-            neg_rows = [[-x for x in row] for row in rows]
+            singular_seen += _det_frac(rows) == 0
             if member(m, plus) != _psd_oracle(rows):
                 raise _Fail(f"PSD disagreement at n={n}, sample {i}")
-            if member(m, minus) != _psd_oracle(neg_rows):
+            if member(m, minus) != _psd_oracle([[-x for x in row] for row in rows]):
                 raise _Fail(f"NSD disagreement at n={n}, sample {i}")
             checked += 1
         if singular_seen < singular_target:
@@ -443,8 +426,7 @@ def split_cones(rngs, scale: float) -> str:
 @_criterion("positive involutions exist off nil and never on nil")
 def positive_involutions(rngs, scale: float) -> str:
     per_nil = _count(200, scale)
-    built = 0
-    refuted = 0
+    built = refuted = 0
     for zname, alg, rng in _zoo(rngs):
         for p in orderings(alg.field):
             info = classify(alg, p)
@@ -614,9 +596,7 @@ def identity_positivity(rngs, scale: float) -> str:
         cones = enumerate_cones(alg)
         for p in orderings(alg.field):
             info = classify(alg, p)
-            in_some_cone = any(
-                member(one, k) for k in cones if k.ordering == p
-            )
+            in_some_cone = any(member(one, k) for k in cones if k.ordering == p)
             by_sign = abs(sign_eta(rank_one(alg, one), p)) == info.n_p
             by_trace = is_positive_involution(alg, one, p)
             if not (in_some_cone == by_sign == by_trace):
