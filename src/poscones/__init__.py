@@ -17,122 +17,22 @@ quadratic fields Q(sqrt(d)):
 A CLI (``poscones``) exposes the same operations over JSON descriptors.
 """
 
-from .algebra import AlgebraWithInvolution, DElem, DivisionAlgebraDesc, MatD
-from .cones import (
-    GeneratedCone,
-    PositiveCone,
-    enumerate_cones,
-    generated_cone,
-    harrison_sigma,
-    is_maximal_on,
-    member,
-    positive_involution_at,
-)
-from .errors import (
-    DimensionMismatch,
-    DivisionByZero,
-    InternalInvariantViolation,
-    NilOrdering,
-    NotHermitian,
-    NotSymmetric,
-    OrderingNotInXTilde,
-    ParseError,
-    PosconesError,
-    Singular,
-    TaskError,
-)
-from .field import (
-    FieldDesc,
-    FieldElem,
-    format_elem,
-    orderings,
-    parse_elem,
-)
-from .forms import (
-    DiagonalizationResult,
-    HermitianForm,
-    QuadraticFormF,
-    WeakRepResult,
-    diag_form,
-    diagonalize,
-    direct_sum,
-    rank_one,
-    tensor,
-    times,
-    weakly_represents,
-)
-from .morita import full_reduction, standard_algebra
-from .orders import (
-    OrderingInfo,
-    classify,
-    classify_all,
-    x_tilde,
-)
-from .signature import (
-    SylvesterDecomposition,
-    is_positive_involution,
-    m_p,
-    pre_sylvester,
-    sign_eta,
-    trace_form,
-)
-from .zoo import zoo_algebra, zoo_all, zoo_names
+from . import algebra, cones, errors, field, forms, morita, orders, signature, zoo
+from .algebra import *
+from .cones import *
+from .errors import *
+from .field import *
+from .forms import *
+from .morita import *
+from .orders import *
+from .signature import *
+from .zoo import *
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AlgebraWithInvolution",
-    "DElem",
-    "DiagonalizationResult",
-    "DimensionMismatch",
-    "DivisionAlgebraDesc",
-    "DivisionByZero",
-    "FieldDesc",
-    "FieldElem",
-    "GeneratedCone",
-    "HermitianForm",
-    "InternalInvariantViolation",
-    "MatD",
-    "NilOrdering",
-    "NotHermitian",
-    "NotSymmetric",
-    "OrderingInfo",
-    "OrderingNotInXTilde",
-    "ParseError",
-    "PosconesError",
-    "PositiveCone",
-    "QuadraticFormF",
-    "Singular",
-    "SylvesterDecomposition",
-    "TaskError",
-    "WeakRepResult",
-    "classify",
-    "classify_all",
-    "diag_form",
-    "diagonalize",
-    "direct_sum",
-    "enumerate_cones",
-    "format_elem",
-    "full_reduction",
-    "generated_cone",
-    "harrison_sigma",
-    "is_maximal_on",
-    "is_positive_involution",
-    "m_p",
-    "member",
-    "orderings",
-    "parse_elem",
-    "positive_involution_at",
-    "pre_sylvester",
-    "rank_one",
-    "sign_eta",
-    "standard_algebra",
-    "tensor",
-    "times",
-    "trace_form",
-    "weakly_represents",
-    "x_tilde",
-    "zoo_algebra",
-    "zoo_all",
-    "zoo_names",
-]
+# the public API is the union of the modules' own __all__ lists
+__all__ = sorted(
+    algebra.__all__ + cones.__all__ + errors.__all__ + field.__all__
+    + forms.__all__ + morita.__all__ + orders.__all__ + signature.__all__
+    + zoo.__all__
+)

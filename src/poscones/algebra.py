@@ -248,17 +248,11 @@ class DElem:
         )
 
     def nrd(self) -> FieldElem:
-        """Reduced norm x * theta(x), a base-field element."""
-        kind = self.alg.kind
-        if kind == "split":
-            return self.coords[0] * self.coords[0]
-        if kind == "quad":
-            (d,) = self.alg.params
-            x, y = self.coords
-            return x * x + d * (y * y)
-        a, b = self.alg.params
-        x0, x1, x2, x3 = self.coords
-        return x0 * x0 + a * (x1 * x1) + b * (x2 * x2) + a * (b * (x3 * x3))
+        """Reduced norm x * theta(x), a base-field element: the norm form
+        of D at the coordinates, x_0^2 + sum of c_beta * x_beta^2."""
+        x0, *rest = self.coords
+        terms = (c * (x * x) for c, x in zip(self.alg.norm_form()[1:], rest))
+        return sum(terms, x0 * x0)
 
     def inverse(self) -> "DElem":
         """theta(x) / nrd(x); nrd is anisotropic on valid descriptors."""
@@ -471,9 +465,10 @@ class MatD:
         return MatD(self.alg, out)
 
     def scale_field(self, c: FieldElem | int | Fraction) -> "MatD":
-        """Multiply every entry by a central base-field scalar."""
-        e = self.alg.from_field(c)
-        return MatD(self.alg, [[e * x for x in r] for r in self.entries])
+        """Multiply every entry by a central base-field scalar, by
+        DElem.scale: dim D field products per entry."""
+        c = self.alg.from_field(c).scalar()
+        return MatD(self.alg, [[x.scale(c) for x in r] for r in self.entries])
 
     def theta_t(self) -> "MatD":
         """Conjugate transpose: entry (i, j) becomes theta of entry (j, i)."""

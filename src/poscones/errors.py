@@ -6,6 +6,20 @@ callers can react precisely; all of them inherit from PosconesError.
 
 from __future__ import annotations
 
+__all__ = [
+    "PosconesError",
+    "ParseError",
+    "DivisionByZero",
+    "DimensionMismatch",
+    "Singular",
+    "NotHermitian",
+    "NotSymmetric",
+    "NilOrdering",
+    "OrderingNotInXTilde",
+    "TaskError",
+    "InternalInvariantViolation",
+]
+
 
 class PosconesError(Exception):
     """Base class for all library errors."""

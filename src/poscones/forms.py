@@ -16,9 +16,9 @@ zero entries come last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 from typing import Iterator, Sequence
 
@@ -43,6 +43,7 @@ __all__ = [
     "tensor",
     "weakly_represents",
     "WeakRepResult",
+    "rank_one",
 ]
 
 @dataclass(frozen=True)
@@ -68,49 +69,37 @@ class QuadraticFormF:
         return "<" + ", ".join(str(e) for e in self.entries) + ">"
 
 
+@dataclass(frozen=True, repr=False)
 class HermitianForm:
-    """Hermitian form over an algebra with involution, by Gram matrix."""
+    """Hermitian form over an algebra with involution, by Gram matrix;
+    _checked=True skips the hermitian check of a Gram built from checked
+    forms.  The cached reduced and diagonal stay out of equality and hash."""
 
-    __slots__ = ("alg", "rank", "gram", "_reduced", "_diagonal")
+    alg: AlgebraWithInvolution
+    rank: int
+    gram: MatD
+    _checked: InitVar[bool] = False
 
-    def __init__(
-        self,
-        alg: AlgebraWithInvolution,
-        rank: int,
-        gram: MatD,
-        _checked: bool = False,
-    ) -> None:
-        n = rank * alg.ell
-        if gram.alg != alg.div:
+    def __post_init__(self, _checked: bool) -> None:
+        n = self.rank * self.alg.ell
+        if self.gram.alg != self.alg.div:
             raise ValueError("gram entries live in the wrong algebra")
-        if gram.rows != n or gram.cols != n:
+        if self.gram.rows != n or self.gram.cols != n:
             raise DimensionMismatch("gram must be (rank*ell) x (rank*ell)")
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_reduced", None)
-        object.__setattr__(self, "_diagonal", None)
         if not _checked and not self.reduced.is_theta_hermitian():
             raise NotHermitian("gram is not sigma-hermitian")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianForm is immutable")
-
-    @property
+    @cached_property
     def reduced(self) -> MatD:
         """Gram of the reduction to (D, theta), computed at most once; it is
         theta_t-hermitian exactly when the form is sigma-hermitian."""
-        if self._reduced is None:
-            object.__setattr__(self, "_reduced", self.alg.reduce(self.gram))
-        return self._reduced
+        return self.alg.reduce(self.gram)
 
-    @property
+    @cached_property
     def diagonal(self) -> DiagonalizationResult:
         """Verified diagonalization of the reduction, computed at most once;
         every signature, cone and maximality answer about h reads it."""
-        if self._diagonal is None:
-            object.__setattr__(self, "_diagonal", diagonalize(self.reduced))
-        return self._diagonal
+        return diagonalize(self.reduced)
 
     def block(self, i: int, j: int) -> MatD:
         ell = self.alg.ell
@@ -128,17 +117,6 @@ class HermitianForm:
         if y.rows != n or y.cols != self.alg.ell:
             raise DimensionMismatch("vector has wrong shape")
         return self.alg.phi * (x.theta_t() * self.reduced * y)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HermitianForm)
-            and self.alg == other.alg
-            and self.rank == other.rank
-            and self.gram == other.gram
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.alg, self.rank, self.gram))
 
     def __str__(self) -> str:
         return f"herm(rank {self.rank} over {self.alg})"

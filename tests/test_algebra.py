@@ -175,6 +175,27 @@ class TestMatD:
         e = lambda n: SPLIT.from_field(n)
         m = MatD(SPLIT, [[e(2), e(7)], [e(0), e(3)]])
         assert m.scale_field(Q.elem(2)) == m + m
+        # a quad and a quaternion matrix: each entry scaled is the product
+        # by the embedded scalar, as from_field(c) * x
+        quad = DivisionAlgebraDesc(RT2, "quad", (RT2.elem(3, 1),))
+        quat = DivisionAlgebraDesc(Q, "quat", (Q.elem(2), Q.elem(5)))
+        cases = [
+            (quad, RT2.elem(Fraction(-2, 3), 4), [
+                [(RT2.elem(1, 2), RT2.elem(-3, 1)), (RT2.elem(0), RT2.elem(0, 5))],
+                [(RT2.elem(7), RT2.elem(0)), (RT2.elem(Fraction(1, 2), -1), RT2.elem(2))],
+            ]),
+            (quat, Q.elem(Fraction(7, 2)), [
+                [(Q.elem(1), Q.elem(-2), Q.elem(3), Q.elem(Fraction(1, 2))),
+                 (Q.elem(0), Q.elem(4), Q.elem(0), Q.elem(-1))],
+            ]),
+        ]
+        for div, c, rows in cases:
+            m = MatD(div, [[DElem(div, x) for x in r] for r in rows])
+            expected = MatD(div, [[div.from_field(c) * x for x in r] for r in m.entries])
+            assert m.scale_field(c) == expected
+            assert m.scale_field(-3) == MatD(
+                div, [[div.from_field(-3) * x for x in r] for r in m.entries]
+            )
 
     def test_block_diag_and_kron(self):
         _, i, j, _ = HAMILTON.basis()

@@ -511,6 +511,17 @@ class TestHermitianForm:
         h = diag_form(alg, [])
         assert h.rank == 0
 
+    def test_caches_stay_out_of_identity(self):
+        # a twisted involution, so that the reduction differs from the Gram
+        alg = zoo_algebra("split-q-2-indef")
+        gram = alg.phi * qmat([[2, 1], [1, -3]])
+        h = HermitianForm(alg, 1, gram)
+        assert h.reduced != h.gram and h.diagonal.entries
+        fresh = HermitianForm(alg, 1, gram)
+        assert h == fresh and hash(h) == hash(fresh)
+        with pytest.raises(AttributeError):
+            h.gram = gram
+
 
 class TestConstructors:
     def test_direct_sum_and_times(self):

@@ -3,9 +3,10 @@
 No module of the package (other than __init__.py, which re-exports) and
 no test module imports a name it never reads, and no function of the
 package assigns a local it never reads; names starting with "_" are
-exempt from the second check.  Every name that a module of the package
-exports in __all__ is read by the package or the benchmark, not by the
-tests alone.
+exempt from the second check.  Every module of the package but
+__init__.py assigns a literal __all__, from which __init__.py builds the
+public API, and every name it exports there is read by the package or the
+benchmark, not by the tests alone.
 """
 
 import ast
@@ -82,12 +83,18 @@ def test_every_assigned_local_is_read(path):
 
 
 def _exports(path):
+    """The literal __all__ that a module assigns, or None if it assigns none."""
     for node in _tree(path).body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    return []
+    return None
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_assigns_a_literal_all(path):
+    assert isinstance(_exports(path), list)
 
 
 def _read_anywhere():
@@ -106,5 +113,5 @@ def _read_anywhere():
 
 def test_every_exported_name_is_read_outside_the_tests():
     read = _read_anywhere()
-    unread = [f"{p.name} {n}" for p in MODULES for n in _exports(p) if n not in read]
+    unread = [f"{p.name} {n}" for p in MODULES for n in _exports(p) or () if n not in read]
     assert unread == []
