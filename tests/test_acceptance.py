@@ -25,9 +25,10 @@ from poscones.acceptance import (
     signature_laws,
     run_all,
 )
-from poscones.algebra import DivisionAlgebraDesc, MatD
+from poscones.algebra import DElem, DivisionAlgebraDesc, MatD
 from poscones.errors import InternalInvariantViolation
 from poscones.forms import DiagonalizationResult, QuadraticFormF, times
+from poscones.zoo import zoo_all
 
 SEED = 0
 SCALE = 1.0
@@ -125,11 +126,15 @@ def _ignore_eps(monkeypatch):
 
 
 def _mutate_norm_form(mutate):
+    # nrd is the norm form at the coordinates; it keeps its definition
+    # x * theta(x), so that inverses and diagonalization pivots stay sound
+    # and only the readers of the norm form as a positivity fact see the fault
     def fault(monkeypatch):
         _everywhere(
             monkeypatch, DivisionAlgebraDesc, "norm_form",
             lambda norm_form: lambda self: tuple(mutate(c) for c in norm_form(self)),
         )
+        monkeypatch.setattr(DElem, "nrd", lambda x: (x * x.theta()).scalar())
     return fault
 
 
@@ -198,6 +203,20 @@ def _fails(criterion):
 def test_fault_matrix(monkeypatch, fault, failing):
     fault(monkeypatch)
     assert [n for n in sorted(failing) if not _fails(CRITERIA[n - 1])] == []
+
+
+@pytest.mark.parametrize("name", ["norm-form-negated", "norm-form-all-ones"])
+def test_norm_form_faults_leave_the_arithmetic_of_d_sound(monkeypatch, name):
+    # so that criteria 6, 8 and 10 fail under these rows through the
+    # readers of the norm form, not through a broken inverse or pivot
+    divs = {alg.div for alg in zoo_all().values()}
+    true_forms = {div: div.norm_form() for div in divs}
+    FAULT_MATRIX[name][0](monkeypatch)
+    assert any(div.norm_form() != true_forms[div] for div in divs)
+    for div in divs:
+        x = sum(div.basis(), div.one())
+        assert x.nrd() == sum(c * (t * t) for c, t in zip(true_forms[div], x.coords))
+        assert x * x.inverse() == div.one()
 
 
 def test_every_criterion_fails_under_some_fault():
